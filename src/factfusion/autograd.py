@@ -103,17 +103,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     # -- backward -------------------------------------------------------------
 
@@ -411,16 +405,19 @@ def dropout(
     x: Tensor,
     p: float,
     rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
     training: bool = True,
 ) -> Tensor:
-    """Inverted dropout; identity when p == 0 or not training."""
+    """Inverted dropout; identity when p == 0 or not training.
+
+    Training-mode dropout draws its mask from rng, which must be given, so
+    every mask comes from an explicitly seeded generator.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0 or not training:
         return x
     if rng is None:
-        rng = np.random.default_rng(seed)
+        raise ValueError("training-mode dropout needs an explicit rng")
     keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
     def backward(g):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, _read_config_file
+from .config import RunConfig
 from .data import LABELS, load_manifest, synthesize
 from .ensemble import EnsembleSpec, ProbMatrix, blend, predict, tune
 from .features import FIELD_ORDER, STAT_NAMES, FeatureScaler, extract_corpus
@@ -48,9 +48,7 @@ def _add_config_flags(sp) -> None:
 
 
 def _merged_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = cfg.updated(**_read_config_file(args.config))
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(RunConfig)
@@ -122,7 +120,8 @@ def _cmd_blend(args) -> int:
     scores = blend(mats, spec)
     preds = predict(scores)
     if args.out:
-        lines = ["sample_id," + ",".join(f"s{i}" for i in range(5)) + ",predicted"]
+        cols = ",".join(f"s{i}" for i in range(len(LABELS)))
+        lines = [f"sample_id,{cols},predicted"]
         for sid, row, p in zip(mats[0].sample_ids, scores, preds):
             lines.append(
                 sid + "," + ",".join(f"{v:.10g}" for v in row) + f",{LABELS[p]}"
@@ -226,11 +225,6 @@ def entrypoint(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except Exception as err:  # every failure becomes one parsable line
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -79,7 +79,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls().updated(**_read_config_file(path))
+        """Defaults overridden by the fields of a JSON object file."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not valid JSON ({err})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config file must hold a JSON object")
+        return cls().updated(**data)
 
     def updated(self, **overrides) -> "RunConfig":
         """New config with the given fields replaced; None values are skipped."""
@@ -89,13 +96,3 @@ class RunConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         clean = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **clean)
-
-
-def _read_config_file(path) -> dict:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: not valid JSON ({err})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
-    return data

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import LABELS
 from .metrics import weighted_f1_batch
 
 VARIANTS = ("average", "weighted", "power", "unified")
@@ -31,7 +32,7 @@ WEIGHT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 POWER_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 ROW_SUM_TOL = 1e-4
 PROB_FLOOR = 1e-12
-N_CLASSES = 5
+N_CLASSES = len(LABELS)
 
 
 @dataclass
@@ -53,6 +54,13 @@ class ProbMatrix:
             raise ValueError(
                 f"{self.model_id}: {len(self.sample_ids)} sample ids for "
                 f"{self.probs.shape[0]} probability rows"
+            )
+        inside = (self.probs >= 0.0) & (self.probs <= 1.0)  # False for NaN
+        if not inside.all():
+            row = np.flatnonzero(~inside.all(axis=1))[0]
+            raise ValueError(
+                f"{self.model_id}: row {row} holds {self.probs[row]}, "
+                f"not probabilities in [0, 1]"
             )
         sums = self.probs.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
@@ -213,6 +221,37 @@ def _score_weight_block(
     return weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
 
 
+def _score_blends(
+    clamped: np.ndarray, weights: np.ndarray, powers: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """F1 for each row of a [k x m] block of weights and matching powers.
+
+    Sums the powered members model by model, as blend() does.
+    """
+    scores = np.zeros((weights.shape[0],) + clamped.shape[1:])
+    for j in range(clamped.shape[0]):
+        scores += weights[:, j, None, None] * clamped[j] ** powers[:, j, None, None]
+    return weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
+
+
+def _improve(
+    best: Optional[tuple], f1s: np.ndarray, weights: np.ndarray, powers: np.ndarray
+) -> tuple:
+    """The better of best and a scored block, as (f1, (weights, powers)).
+
+    Ties go to the lexicographically smallest (weights, powers) key.
+    """
+    top = f1s.max()
+    if best is not None and top < best[0]:
+        return best
+    key = min(
+        (tuple(weights[i]), tuple(powers[i])) for i in np.flatnonzero(f1s == top)
+    )
+    if best is None or top > best[0] or key < best[1]:
+        return float(top), key
+    return best
+
+
 def _weight_combos(m: int) -> np.ndarray:
     grids = np.meshgrid(*([np.array(WEIGHT_GRID)] * m), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -264,8 +303,7 @@ def tune(
         )[0]
         return TuneResult(spec=spec, f1=float(f1), evaluations=1)
 
-    best_key: Optional[tuple] = None
-    best_f1 = -1.0
+    best: Optional[tuple] = None
     evaluations = 0
     weight_block = _weight_combos(m)
 
@@ -276,43 +314,27 @@ def tune(
         powered = clamped ** np.asarray(powers)[:, None, None]
         f1s = _score_weight_block(powered, block, labels)
         evaluations += block.shape[0]
-        top = f1s.max()
-        if top < best_f1:
-            continue
-        contenders = np.flatnonzero(f1s == top)
-        key = min(
-            (tuple(block[i]), tuple(powers)) for i in contenders
-        )
-        if top > best_f1 or key < best_key:
-            best_f1, best_key = float(top), key
+        best = _improve(best, f1s, block, np.broadcast_to(powers, block.shape))
 
     # Corner candidates isolating each model at the clip extremes; with the
     # other members suppressed to w=0.01 (and, for unified, flattened by
     # power 8) the blend reproduces that model's own predictions on all but
     # razor-thin argmax margins.
-    for j in range(m):
-        w = np.full(m, 0.01)
-        w[j] = 10.0
-        p = np.ones(m)
-        if variant == "unified":
-            p = np.full(m, 8.0)
-            p[j] = 1.0
-        score = np.zeros(mats[0].probs.shape)
-        for i in range(m):
-            score += w[i] * clamped[i] ** p[i]
-        f1 = float(
-            weighted_f1_batch(labels, score.argmax(axis=1)[None, :], N_CLASSES)[0]
-        )
-        evaluations += 1
-        key = (tuple(w), tuple(p))
-        if f1 > best_f1 or (f1 == best_f1 and key < best_key):
-            best_f1, best_key = f1, key
+    corner_w = np.full((m, m), 0.01)
+    np.fill_diagonal(corner_w, 10.0)
+    corner_p = np.ones((m, m))
+    if variant == "unified":
+        corner_p = np.full((m, m), 8.0)
+        np.fill_diagonal(corner_p, 1.0)
+    best = _improve(
+        best, _score_blends(clamped, corner_w, corner_p, labels), corner_w, corner_p
+    )
+    evaluations += m
 
     rng = np.random.default_rng(seed)
     while evaluations < budget:
         k = min(256, budget - evaluations)
-        base_w = np.asarray(best_key[0])
-        base_p = np.asarray(best_key[1])
+        base_w, base_p = (np.asarray(v) for v in best[1])
         w_prop = np.clip(base_w + rng.normal(0.0, 0.05, size=(k, m)), 0.01, 10.0)
         if variant == "weighted":
             p_prop = np.ones((k, m))
@@ -325,21 +347,11 @@ def tune(
             p_prop = np.clip(
                 base_p * np.exp(rng.normal(0.0, 0.2, size=(k, m))), 0.01, 8.0
             )
-        scores = np.zeros((k,) + mats[0].probs.shape)
-        for j in range(m):
-            scores += w_prop[:, j, None, None] * clamped[j] ** p_prop[:, j, None, None]
-        f1s = weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
+        f1s = _score_blends(clamped, w_prop, p_prop, labels)
         evaluations += k
-        top = f1s.max()
-        if top >= best_f1:
-            contenders = np.flatnonzero(f1s == top)
-            key = min(
-                (tuple(w_prop[i]), tuple(p_prop[i])) for i in contenders
-            )
-            if top > best_f1 or key < best_key:
-                best_f1, best_key = float(top), key
+        best = _improve(best, f1s, w_prop, p_prop)
 
-    weights, powers = best_key
+    best_f1, (weights, powers) = best
     if variant == "weighted":
         powers = (1.0,) * m
     elif variant == "power":

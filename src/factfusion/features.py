@@ -1,6 +1,6 @@
 """Explicit text statistics for each sample: 8 stats over 4 text fields.
 
-Counting rules (all applied to the raw, pre-normalization string):
+Counting rules (all applied to the raw string):
 
   * a word is a maximal non-whitespace run,
   * a URL token starts with "http://", "https://", or "www." (case-insensitive),
@@ -11,18 +11,12 @@ Counting rules (all applied to the raw, pre-normalization string):
     punctuation,
   * character and digit counts scan the whole string; word count and mean
     word length cover all tokens.
-
-Normalization (applied before embedding, after counting) replaces emoji with
-their lowercased Unicode names, expands a fixed abbreviation table, drops
-mention and URL tokens, and collapses whitespace.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 import string
-import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -48,23 +42,13 @@ STOPWORDS_SHA256 = "73804769a098558757cde89333e47b2c9a39733b3540dc724d1bd981f499
 
 _PUNCT = set(string.punctuation)
 
-# Codepoint ranges treated as emoji; joiners and variation selectors are
-# dropped rather than named.
-_EMOJI_RANGES = (
-    (0x1F000, 0x1FAFF),
-    (0x2600, 0x27BF),
-    (0x2B00, 0x2BFF),
-    (0x1F900, 0x1F9FF),
-)
-_EMOJI_DROP = {0x200D, 0xFE0E, 0xFE0F}
-
-
-def _resource_text(name: str) -> str:
-    return resources.files("factfusion").joinpath("resources", name).read_text("utf-8")
-
 
 def _load_stopwords() -> frozenset[str]:
-    text = _resource_text("stopwords.txt")
+    text = (
+        resources.files("factfusion")
+        .joinpath("resources", "stopwords.txt")
+        .read_text("utf-8")
+    )
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != STOPWORDS_SHA256:
         raise RuntimeError(
@@ -73,31 +57,7 @@ def _load_stopwords() -> frozenset[str]:
     return frozenset(w for w in text.split("\n") if w)
 
 
-def _load_abbreviations() -> dict[str, str]:
-    table = {}
-    for line in _resource_text("abbreviations.txt").splitlines():
-        if not line.strip():
-            continue
-        short, expansion = line.split("\t")
-        table[short.lower()] = expansion
-    return table
-
-
 STOPWORDS = _load_stopwords()
-ABBREVIATIONS = _load_abbreviations()
-
-_ABBREV_RE = re.compile(
-    "|".join(
-        r"(?<!\w)" + re.escape(short) + r"(?!\w)"
-        for short in sorted(ABBREVIATIONS, key=len, reverse=True)
-    ),
-    re.IGNORECASE,
-)
-
-
-def _is_emoji(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
 
 
 def _is_url(token: str) -> bool:
@@ -107,28 +67,6 @@ def _is_url(token: str) -> bool:
 
 def _is_mention(token: str) -> bool:
     return len(token) > 1 and token[0] == "@" and (token[1].isalnum() or token[1] == "_")
-
-
-def replace_emoji(text: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        cp = ord(ch)
-        if cp in _EMOJI_DROP:
-            continue
-        if _is_emoji(ch):
-            name = unicodedata.name(ch, "").lower()
-            out.append(f" {name} " if name else " ")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def normalize_text(raw: str) -> str:
-    """Emoji to names, abbreviations expanded, mentions/URLs dropped."""
-    text = replace_emoji(raw)
-    text = _ABBREV_RE.sub(lambda m: ABBREVIATIONS[m.group(0).lower()], text)
-    kept = [t for t in text.split() if not (_is_url(t) or _is_mention(t))]
-    return " ".join(kept)
 
 
 def extract_field_features(text: str) -> np.ndarray:
@@ -197,14 +135,11 @@ class FeatureScaler:
         return (np.log1p(raw) - self.mean) / self.std
 
     def save(self, path) -> None:
-        tensor_io.write_checkpoint(
-            path, {"scaler.mean": self.mean, "scaler.std": self.std}
-        )
+        tensor_io.write_checkpoint(path, self.entries())
 
     @classmethod
     def load(cls, path) -> "FeatureScaler":
-        entries = tensor_io.read_checkpoint(path)
-        return cls.from_entries(entries)
+        return cls.from_entries(tensor_io.read_checkpoint(path))
 
     @classmethod
     def from_entries(cls, entries: dict) -> "FeatureScaler":
@@ -217,17 +152,10 @@ class FeatureScaler:
         return {"scaler.mean": self.mean, "scaler.std": self.std}
 
 
-def extract(sample, scaler: Optional[FeatureScaler] = None) -> np.ndarray:
-    """Scaled (or raw, if no scaler) 32-dim feature vector for one sample."""
-    raw = raw_feature_vector(sample)
-    return scaler.transform(raw) if scaler is not None else raw
-
-
 def extract_corpus(
     samples: Sequence, scaler: Optional[FeatureScaler] = None
 ) -> np.ndarray:
+    """Raw (or, given a scaler, scaled) feature matrix [len(samples) x 32]."""
     rows = [raw_feature_vector(s) for s in samples]
     mat = np.asarray(rows, dtype=np.float64).reshape(len(rows), FEATURE_DIM)
-    if scaler is not None:
-        mat = np.stack([scaler.transform(r) for r in mat]) if len(rows) else mat
-    return mat
+    return scaler.transform(mat) if scaler is not None else mat

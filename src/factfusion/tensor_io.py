@@ -4,11 +4,14 @@ Single-tensor format: magic b"PCFT", rank as uint8, one little-endian uint32
 per extent, then the row-major float32 payload (little-endian). Checkpoints
 wrap a sequence of named tensors: magic b"PCFC", uint8 version, uint32 entry
 count, then per entry a uint16 name length, the UTF-8 name, and a PCFT block.
+Readers reject short reads, bytes after the last block and repeated entry
+names with FormatError.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from pathlib import Path
 from typing import BinaryIO, Mapping, Union
@@ -37,6 +40,22 @@ def _coerce(array) -> np.ndarray:
     return arr
 
 
+def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise FormatError(f"truncated {what}: expected {n} bytes, got {len(data)}")
+    return data
+
+
+def _unpack(f: BinaryIO, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
+
+
+def _check_end(f: BinaryIO) -> None:
+    if f.read(1):
+        raise FormatError("trailing bytes after the last block")
+
+
 def write_tensor_stream(f: BinaryIO, array) -> None:
     arr = _coerce(array)
     f.write(TENSOR_MAGIC)
@@ -50,16 +69,11 @@ def read_tensor_stream(f: BinaryIO) -> np.ndarray:
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad tensor magic {magic!r}")
-    (rank,) = struct.unpack("<B", f.read(1))
+    (rank,) = _unpack(f, "<B", "tensor rank")
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds maximum {MAX_RANK}")
-    shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
-        raise FormatError(
-            f"truncated payload: expected {4 * count} bytes, got {len(payload)}"
-        )
+    shape = _unpack(f, f"<{rank}I", "tensor shape")
+    payload = _read_exact(f, 4 * math.prod(shape), "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 
@@ -70,7 +84,9 @@ def write_tensor(path: PathLike, array) -> None:
 
 def read_tensor(path: PathLike) -> np.ndarray:
     with open(path, "rb") as f:
-        return read_tensor_stream(f)
+        arr = read_tensor_stream(f)
+        _check_end(f)
+        return arr
 
 
 def tensor_bytes(array) -> bytes:
@@ -96,13 +112,20 @@ def read_checkpoint(path: PathLike) -> dict[str, np.ndarray]:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<B", f.read(1))
+        (version,) = _unpack(f, "<B", "checkpoint version")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = _unpack(f, "<I", "entry count")
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
+            (name_len,) = _unpack(f, "<H", "entry name length")
+            raw_name = _read_exact(f, name_len, "entry name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise FormatError(f"entry name is not UTF-8 ({err})") from None
+            if name in entries:
+                raise FormatError(f"duplicate entry name {name!r}")
             entries[name] = read_tensor_stream(f)
+        _check_end(f)
         return entries

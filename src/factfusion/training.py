@@ -22,7 +22,7 @@ from .classifier import LossConfig, total_loss
 from .config import RunConfig
 from .data import LABEL_TO_INDEX, DatasetManifest, ingest, load_manifest
 from .ensemble import ProbMatrix
-from .features import FeatureScaler, raw_feature_vector
+from .features import FeatureScaler, extract_corpus
 from .metrics import confusion_matrix, weighted_f1
 from .model import VerificationModel
 from .optim import Adam
@@ -54,20 +54,6 @@ def _resolve(manifest: ManifestLike) -> DatasetManifest:
     if isinstance(manifest, DatasetManifest):
         return manifest
     return load_manifest(manifest)
-
-
-def _labels_of(data: list) -> np.ndarray:
-    missing = [rec.sample_id for rec, _ in data if rec.label is None]
-    if missing:
-        raise ValueError(f"unlabeled samples: {missing[:3]}")
-    return np.array([LABEL_TO_INDEX[rec.label] for rec, _ in data])
-
-
-def _scaled_features(
-    data: list, scaler: FeatureScaler, dtype=np.float32
-) -> np.ndarray:
-    rows = [scaler.transform(raw_feature_vector(rec)) for rec, _ in data]
-    return np.asarray(rows, dtype=dtype)
 
 
 def _as_tensors(arrays: dict) -> dict:
@@ -115,16 +101,17 @@ def train(
     val_data = list(ingest(val_man, config.max_seq_len))
     if not train_data or not val_data:
         raise ValueError("training needs non-empty train and validation manifests")
-    train_labels = _labels_of(train_data)
-    val_labels = _labels_of(val_data)
+    train_labels = train_man.labels()
+    val_labels = val_man.labels()
     backbone_dim = train_data[0][1]["CI"].shape[1]
 
     scaler = None
     train_feats = val_feats = None
     if not config.text_only:
-        scaler = FeatureScaler.fit(raw_feature_vector(rec) for rec, _ in train_data)
-        train_feats = _scaled_features(train_data, scaler)
-        val_feats = _scaled_features(val_data, scaler)
+        train_raw = extract_corpus(train_man.records)
+        scaler = FeatureScaler.fit(train_raw)
+        train_feats = scaler.transform(train_raw).astype(np.float32)
+        val_feats = extract_corpus(val_man.records, scaler).astype(np.float32)
 
     init_ss, drop_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = VerificationModel(config, backbone_dim, rng=np.random.default_rng(init_ss))
@@ -194,7 +181,7 @@ def train(
 
     matrix = ProbMatrix(
         model_id=model_id,
-        sample_ids=[rec.sample_id for rec, _ in val_data],
+        sample_ids=val_man.sample_ids(),
         probs=best_probs,
     )
     matrix.save(run_path / "val_probs.csv")
@@ -239,23 +226,24 @@ def evaluate(
         ckpt, config, meta["backbone_dim"]
     )
 
-    data = list(ingest(_resolve(manifest), config.max_seq_len))
+    man = _resolve(manifest)
+    data = list(ingest(man, config.max_seq_len))
     if not data:
         raise ValueError("cannot evaluate an empty manifest")
     feats = None
     if not config.text_only:
         scaler = FeatureScaler.from_entries(entries)
-        feats = _scaled_features(data, scaler)
+        feats = extract_corpus(man.records, scaler).astype(np.float32)
 
     probs = _predict_probs(model, data, feats, config.batch_size)
     matrix = ProbMatrix(
         model_id=model_id or ckpt.stem,
-        sample_ids=[rec.sample_id for rec, _ in data],
+        sample_ids=man.sample_ids(),
         probs=probs,
     )
-    if any(rec.label is None for rec, _ in data):
+    if any(rec.label is None for rec in man.records):
         return EvalResult(prob_matrix=matrix)
-    labels = _labels_of(data)
+    labels = man.labels()
     preds = probs.argmax(axis=1)
     conf = confusion_matrix(labels, preds, len(LABEL_TO_INDEX))
     f1, per_class = weighted_f1(labels, preds, len(LABEL_TO_INDEX))

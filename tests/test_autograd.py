@@ -258,6 +258,11 @@ class TestDropout:
         assert dropout(x, 0.5, training=False) is x
         assert dropout(x, 0.0, rng=rng, training=True) is x
 
+    def test_training_mode_requires_rng(self, rng):
+        x = Tensor.constant(rng.standard_normal((4, 4)))
+        with pytest.raises(ValueError, match="rng"):
+            dropout(x, 0.5, training=True)
+
     def test_inverted_scaling(self):
         x = Tensor.constant(np.ones((200, 50)))
         out = dropout(x, 0.25, rng=np.random.default_rng(3), training=True)

@@ -60,6 +60,13 @@ class TestProbMatrix:
         with pytest.raises(ValueError):
             mat([[0.2, 0.2, 0.2, 0.2, 0.2 + 5e-4]])
 
+    @pytest.mark.parametrize(
+        "row", [[np.nan] * 5, [-0.5, 1.5, 0.0, 0.0, 0.0]]
+    )
+    def test_rejects_non_probability_entries(self, row):
+        with pytest.raises(ValueError, match="not probabilities"):
+            mat([row])
+
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="n x 5"):
             ProbMatrix("m", ["a"], np.array([[0.5, 0.5]]))

@@ -17,10 +17,8 @@ from factfusion.features import (
     STOPWORDS,
     STOPWORDS_SHA256,
     FeatureScaler,
-    extract,
     extract_corpus,
     extract_field_features,
-    normalize_text,
     raw_feature_vector,
 )
 
@@ -83,6 +81,14 @@ class TestFieldStats:
         s = stats("@ x")
         assert s["mention_count"] == 0
         assert s["punctuation_count"] == 1  # the lone "@"
+
+    def test_mentions_and_urls_count_as_words(self):
+        s = sample(claim_text="hi @john see http://x.y now")
+        vec = raw_feature_vector(s)
+        by_name = dict(zip(STAT_NAMES, vec[:8]))
+        assert by_name["word_count"] == 5  # mention and URL still counted
+        assert by_name["mention_count"] == 1
+        assert by_name["url_count"] == 1
 
 
 # Hand-computed corpus. Each entry: (fields, {field: expected 8-tuple}).
@@ -193,39 +199,6 @@ class TestOracleCorpus:
         assert extract_corpus([]).shape == (0, FEATURE_DIM)
 
 
-class TestNormalization:
-    def test_drops_mentions_and_urls(self):
-        assert normalize_text("hi @john see http://x.y now") == "hi see now"
-
-    def test_expands_abbreviations(self):
-        assert normalize_text("you can't win") == "you cannot win"
-
-    def test_abbreviation_case_insensitive(self):
-        assert normalize_text("Can't stop") == "cannot stop"
-
-    def test_abbreviation_requires_word_boundary(self):
-        # "scan't" must not be expanded mid-word.
-        assert "cannot" not in normalize_text("the scan't01 beep")
-
-    def test_emoji_replaced_by_name(self):
-        assert normalize_text("fine \U0001f642 ok") == "fine slightly smiling face ok"
-
-    def test_variation_selector_dropped(self):
-        # U+FE0F has no name; it is removed instead of expanded.
-        assert normalize_text("up ⬆️ now") == "up upwards black arrow now"
-
-    def test_collapses_whitespace(self):
-        assert normalize_text("a   b\tc") == "a b c"
-
-    def test_counts_happen_before_normalization(self):
-        s = sample(claim_text="hi @john see http://x.y now")
-        vec = raw_feature_vector(s)
-        by_name = dict(zip(STAT_NAMES, vec[:8]))
-        assert by_name["word_count"] == 5  # mention and URL still counted
-        assert by_name["mention_count"] == 1
-        assert by_name["url_count"] == 1
-
-
 class TestStopwordResource:
     def test_checksum_pins_the_list(self):
         blob = (
@@ -296,7 +269,7 @@ class TestScaler:
         s = sample(claim_text="one two three")
         scaler = FeatureScaler.fit([raw_feature_vector(s), np.zeros(FEATURE_DIM)])
         np.testing.assert_allclose(
-            extract(s, scaler), scaler.transform(raw_feature_vector(s))
+            extract_corpus([s], scaler)[0], scaler.transform(raw_feature_vector(s))
         )
 
 

@@ -117,6 +117,12 @@ class TestTensorErrors:
         with pytest.raises(FormatError, match="truncated"):
             read_tensor(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.pcft"
+        path.write_bytes(tensor_bytes(np.ones(2)) + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            read_tensor(path)
+
     def test_excessive_rank_in_header(self, tmp_path):
         path = tmp_path / "rank.pcft"
         path.write_bytes(TENSOR_MAGIC + struct.pack("<B", 9))
@@ -177,3 +183,48 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<B", 2) + struct.pack("<I", 0))
         with pytest.raises(FormatError, match="version"):
             read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.pcfc"
+        write_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            read_checkpoint(path)
+
+    def test_duplicate_entry_name_rejected(self, tmp_path):
+        entry = struct.pack("<H", 1) + b"w" + tensor_bytes(np.ones(1))
+        path = tmp_path / "dup.pcfc"
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 2) + entry * 2
+        )
+        with pytest.raises(FormatError, match="duplicate"):
+            read_checkpoint(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "name.pcfc"
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"\xff" + tensor_bytes(np.ones(1))
+        )
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_checkpoint(path)
+
+
+
+class TestCheckpointTruncation:
+    @settings(max_examples=20, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3))
+    def test_every_truncation_raises_format_error(self, tmp_path_factory, shapes):
+        names = ("embed.W", "pé", "head.b")
+        entries = {
+            name: np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+            for name, shape in zip(names, shapes)
+        }
+        path = tmp_path_factory.mktemp("cut") / "ckpt.pcfc"
+        write_checkpoint(path, entries)
+        blob = path.read_bytes()
+        assert list(read_checkpoint(path)) == list(entries)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                read_checkpoint(path)
