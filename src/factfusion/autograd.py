@@ -508,15 +508,17 @@ def tensor_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def getitem(x: Tensor, idx) -> Tensor:
     out = x.data[idx]
+    # Slices and integers select each element at most once, so their
+    # gradient is a plain assignment; index arrays may repeat elements.
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    basic = all(isinstance(p, (slice, int)) for p in parts)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if basic:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _make(np.asarray(out), (x,), backward)
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal width into a rank-2 batch."""
-    return concat([reshape(t, (1, t.shape[0])) for t in tensors], axis=0)

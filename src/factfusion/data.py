@@ -161,6 +161,7 @@ def ingest(
 
     Image streams always come from files; text streams fall back to a
     hash-derived pseudo-embedding when no text-embedding ref is present.
+    A stream with no rows or with a non-finite value is rejected.
     """
     emb_dir = Path(manifest.embedding_dir)
     for rec in manifest.records:
@@ -182,6 +183,13 @@ def ingest(
             raise ValueError(
                 f"sample {rec.sample_id}: stream widths disagree: {widths}"
             )
+        for stream, arr in streams.items():
+            if arr.shape[0] == 0:
+                raise ValueError(f"sample {rec.sample_id}: {stream} embedding has no rows")
+            if not np.isfinite(arr).all():
+                raise ValueError(
+                    f"sample {rec.sample_id}: {stream} embedding holds a non-finite value"
+                )
         yield rec, {s: a[:max_seq_len] for s, a in streams.items()}
 
 

@@ -9,6 +9,14 @@ Each block holds ONE set of Q/K/V projections, feed-forward weights and two
 layer norms, reused for both attention directions. Fusing four streams yields
 12 mean-aggregated context vectors (two directions per pairing) plus the 4
 mean-aggregated stream embeddings, concatenated downstream in that order.
+
+A whole batch fuses in one pass: each stream arrives as its samples' rows
+packed into one [sum(rows) x d] tensor plus the per-sample row counts.
+Everything position-wise (projections, feed-forward, layer norms, pooling)
+runs once on the packed rows; only the attention core runs per sample, on
+that sample's row ranges, so no padding or key mask is needed. A single
+unpacked sample may instead be padded, with a_len/b_len/lengths marking its
+valid prefix; masked key positions then receive exactly zero attention.
 """
 
 from __future__ import annotations
@@ -24,13 +32,12 @@ from .autograd import (
     add,
     concat,
     dropout,
+    getitem,
     layer_norm,
     matmul,
-    mean,
     relu,
     reshape,
     softmax,
-    tensor_max,
     transpose,
 )
 from .embedding import glorot_uniform
@@ -47,12 +54,43 @@ STREAM_ORDER = ("CT", "CI", "DT", "DI")
 AGGREGATIONS = ("mean", "mean_max_last")
 
 
-def _key_mask(length: Optional[int], total: int, dtype) -> Optional[np.ndarray]:
-    if length is None or length >= total:
-        return None
+def _key_mask(length: int, total: int, dtype) -> np.ndarray:
     mask = np.zeros((1, 1, total), dtype=dtype)
     mask[..., length:] = -np.inf
     return mask
+
+
+def _segments(
+    n_rows: int,
+    rows: Optional[Sequence[int]] = None,
+    length: Optional[int] = None,
+) -> tuple:
+    """(start, stop, valid rows) per sample of an [n_rows x d] input.
+
+    rows gives the row count of each sample packed into the input; without
+    it the input is one sample whose first `length` rows (default: all) are
+    valid and the rest padding.
+    """
+    if rows is None:
+        valid = n_rows if length is None else min(length, n_rows)
+        return ((0, n_rows, valid),)
+    if length is not None:
+        raise ValueError("a valid-prefix length applies to one unpacked sample only")
+    if min(rows, default=0) < 1 or sum(rows) != n_rows:
+        raise ShapeError(
+            f"packed rows {tuple(rows)} must be positive and sum to {n_rows}"
+        )
+    stops = np.cumsum(rows)
+    return tuple((int(e - r), int(e), int(r)) for r, e in zip(rows, stops))
+
+
+def _narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Rows [start, stop) of one axis; the tensor itself when that is all of it."""
+    if start == 0 and stop == x.shape[axis]:
+        return x
+    idx = [slice(None)] * x.ndim
+    idx[axis] = slice(start, stop)
+    return getitem(x, tuple(idx))
 
 
 class CoAttentionBlock:
@@ -97,21 +135,36 @@ class CoAttentionBlock:
         seq = x.shape[1]
         return reshape(transpose(x, (1, 0, 2)), (seq, self.d))
 
+    def _project(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Scaled queries [H, n, d/H], transposed keys [H, d/H, n], values [H, n, d/H]."""
+        q = self._split_heads(matmul(x, self.Wq)) * self.scale
+        k = transpose(self._split_heads(matmul(x, self.Wk)), (0, 2, 1))
+        v = self._split_heads(matmul(x, self.Wv))
+        return q, k, v
+
     def _attend(
         self,
         queries: Tensor,
-        keys: Tensor,
+        keys_t: Tensor,
         values: Tensor,
-        key_mask: Optional[np.ndarray],
+        query_segs: tuple,
+        key_segs: tuple,
         training: bool,
         rng: Optional[np.random.Generator],
-    ) -> tuple[Tensor, Tensor]:
-        scores = matmul(queries, transpose(keys, (0, 2, 1))) * self.scale
-        if key_mask is not None:
-            scores = add(scores, Tensor.constant(key_mask, dtype=scores.dtype))
-        weights = softmax(scores, axis=-1)
-        dropped = dropout(weights, self.dropout_rate, rng=rng, training=training)
-        return matmul(dropped, values), weights
+    ) -> tuple[Tensor, list]:
+        """Per-sample attention over packed heads; contexts packed like the queries."""
+        contexts, weights = [], []
+        for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
+            scores = matmul(_narrow(queries, 1, qs, qe), _narrow(keys_t, 2, ks, ke))
+            if valid < ke - ks:
+                mask = _key_mask(valid, ke - ks, scores.dtype)
+                scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
+            w = softmax(scores, axis=-1)
+            dropped = dropout(w, self.dropout_rate, rng=rng, training=training)
+            contexts.append(matmul(dropped, _narrow(values, 1, ks, ke)))
+            weights.append(w)
+        context = contexts[0] if len(contexts) == 1 else concat(contexts, axis=1)
+        return self._merge_heads(context), weights
 
     def _sublayers(
         self,
@@ -136,28 +189,43 @@ class CoAttentionBlock:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
         return_weights: bool = False,
+        a_rows: Optional[Sequence[int]] = None,
+        b_rows: Optional[Sequence[int]] = None,
     ):
         """Both attention directions of a pair with the same parameters.
 
         Returns (O_ab, O_ba): O_ab queries a against keys/values of b and
-        O_ba the reverse. a_len/b_len mark the valid prefix when the inputs
-        are padded; masked key positions receive exactly zero attention.
+        O_ba the reverse, each with its query input's rows. a_rows/b_rows
+        give the per-sample row counts of packed inputs (sample i of a
+        attends only to sample i of b); without them a and b are one sample,
+        and a_len/b_len mark the valid prefix when they are padded.
+        return_weights appends the [heads x queries x keys] attention
+        weights of each direction: one tensor for a single sample, a
+        per-sample list for packed inputs.
         """
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != self.d or b.shape[1] != self.d:
             raise ShapeError(
                 f"co_attend: inputs {a.shape} / {b.shape} must both have width {self.d}"
             )
-        qa, ka, va = (self._split_heads(matmul(a, w)) for w in (self.Wq, self.Wk, self.Wv))
-        qb, kb, vb = (self._split_heads(matmul(b, w)) for w in (self.Wq, self.Wk, self.Wv))
-        mask_b = _key_mask(b_len, b.shape[0], a.dtype)
-        mask_a = _key_mask(a_len, a.shape[0], a.dtype)
-        ctx_ab, w_ab = self._attend(qa, kb, vb, mask_b, training, rng)
-        ctx_ba, w_ba = self._attend(qb, ka, va, mask_a, training, rng)
-        out_ab = self._sublayers(a, self._merge_heads(ctx_ab), training, rng)
-        out_ba = self._sublayers(b, self._merge_heads(ctx_ba), training, rng)
-        if return_weights:
-            return out_ab, out_ba, w_ab, w_ba
-        return out_ab, out_ba
+        if (a_rows is None) != (b_rows is None):
+            raise ValueError("co_attend: give both a_rows and b_rows, or neither")
+        segs_a = _segments(a.shape[0], a_rows, a_len)
+        segs_b = _segments(b.shape[0], b_rows, b_len)
+        if len(segs_a) != len(segs_b):
+            raise ShapeError(
+                f"co_attend: {len(segs_a)} samples in a but {len(segs_b)} in b"
+            )
+        qa, ka, va = self._project(a)
+        qb, kb, vb = self._project(b)
+        ctx_ab, w_ab = self._attend(qa, kb, vb, segs_a, segs_b, training, rng)
+        ctx_ba, w_ba = self._attend(qb, ka, va, segs_b, segs_a, training, rng)
+        out_ab = self._sublayers(a, ctx_ab, training, rng)
+        out_ba = self._sublayers(b, ctx_ba, training, rng)
+        if not return_weights:
+            return out_ab, out_ba
+        if a_rows is None:
+            return out_ab, out_ba, w_ab[0], w_ba[0]
+        return out_ab, out_ba, w_ab, w_ba
 
     def parameters(self) -> dict[str, Tensor]:
         return {
@@ -177,7 +245,10 @@ class CoAttentionBlock:
 
 @dataclass
 class FusionOutput:
-    """12 aggregated context vectors + 4 aggregated stream vectors."""
+    """12 aggregated context vectors + 4 aggregated stream vectors.
+
+    Each is a vector for a single sample, or [B x w] for a packed batch.
+    """
 
     contexts: list  # pairing order, (a->b, b->a) per pairing
     streams: list  # STREAM_ORDER
@@ -186,18 +257,32 @@ class FusionOutput:
         return self.contexts + self.streams
 
     def concatenated(self) -> Tensor:
-        return concat(self.all_vectors(), axis=0)
+        return concat(self.all_vectors(), axis=-1)
+
+
+def _pool(x: Tensor, segs: tuple, mode: str = "mean") -> Tensor:
+    """[B x w] summaries of the valid rows of each segment: mean, or mean|max|last."""
+    if mode not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {mode!r}")
+    averaging = np.zeros((len(segs), x.shape[0]), dtype=x.dtype)
+    for i, (start, _, valid) in enumerate(segs):
+        averaging[i, start : start + valid] = 1.0 / valid
+    mean = matmul(Tensor.constant(averaging, dtype=x.dtype), x)
+    if mode == "mean":
+        return mean
+    # The max routes its gradient to the first maximal row, per column.
+    argmax = np.stack(
+        [start + x.data[start : start + valid].argmax(axis=0) for start, _, valid in segs]
+    )
+    maxed = getitem(x, (argmax, np.arange(x.shape[1])))
+    last = getitem(x, np.array([start + valid - 1 for start, _, valid in segs]))
+    return concat([mean, maxed, last], axis=1)
 
 
 def aggregate(x: Tensor, length: Optional[int] = None, mode: str = "mean") -> Tensor:
-    """Collapse a [seq x d] tensor to a vector; mean, or mean|max|last stacked."""
-    if length is not None and length < x.shape[0]:
-        x = x[:length]
-    if mode == "mean":
-        return mean(x, axis=0)
-    if mode == "mean_max_last":
-        return concat([mean(x, axis=0), tensor_max(x, axis=0), x[x.shape[0] - 1]], axis=0)
-    raise ValueError(f"unknown aggregation {mode!r}")
+    """Collapse one sample's [seq x d] tensor (valid prefix `length`) to a vector."""
+    summary = _pool(x, _segments(x.shape[0], length=length), mode)
+    return reshape(summary, (summary.shape[1],))
 
 
 class FusionStack:
@@ -234,10 +319,22 @@ class FusionStack:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
         aggregation: str = "mean",
+        rows: Optional[dict[str, Sequence[int]]] = None,
     ) -> FusionOutput:
+        """Fuse one sample (optionally padded to `lengths`) or a packed batch.
+
+        With rows (per stream, the row count of each packed sample) the
+        outputs are [B x w]; without it they are vectors of one sample.
+        """
         if aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {aggregation!r}")
         lengths = lengths or {}
+
+        def summarize(x: Tensor, stream: str) -> Tensor:
+            if rows:
+                return _pool(x, _segments(x.shape[0], rows[stream]), aggregation)
+            return aggregate(x, lengths.get(stream), aggregation)
+
         contexts = []
         for i, (sa, sb) in self.pairings:
             out_ab, out_ba = self.blocks[i].co_attend(
@@ -247,14 +344,12 @@ class FusionStack:
                 b_len=lengths.get(sb),
                 training=training,
                 rng=rng,
+                a_rows=rows[sa] if rows else None,
+                b_rows=rows[sb] if rows else None,
             )
-            contexts.append(aggregate(out_ab, lengths.get(sa), aggregation))
-            contexts.append(aggregate(out_ba, lengths.get(sb), aggregation))
-        streams = [
-            aggregate(embedded[s], lengths.get(s), aggregation)
-            for s in STREAM_ORDER
-            if s in self.streams
-        ]
+            contexts.append(summarize(out_ab, sa))
+            contexts.append(summarize(out_ba, sb))
+        streams = [summarize(embedded[s], s) for s in STREAM_ORDER if s in self.streams]
         return FusionOutput(contexts=contexts, streams=streams)
 
     def vector_width(self, aggregation: str = "mean") -> int:

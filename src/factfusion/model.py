@@ -5,7 +5,9 @@ document image (DI) — arrive as backbone embedding sequences. Image streams
 pass through the adapter-augmented backbone tail (tail_text_streams extends
 it to the text streams), every stream through its own embedding layer, all
 pairs through the co-attention stack, and the concatenated fusion vector
-(plus the 32 statistical text features) through the classifier head.
+(plus the 32 statistical text features) through the classifier head. A
+batch runs as one pass: each stream's samples are packed row-wise into one
+tensor, so every layer but the per-sample attention core runs once per batch.
 
 The text-only ablation keeps just CT/DT, their single pairing, and drops the
 feature vector; without tail_text_streams it therefore has no tail at all.
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, concat, stack_rows
+from .autograd import ShapeError, Tensor, concat
 from .classifier import ClassifierHead
 from .config import RunConfig
 from .data import LABELS
@@ -81,17 +83,22 @@ class VerificationModel:
             dropout_rate=config.dropout, dtype=dtype,
         )
 
-    def forward_sample(
+    def forward_batch(
         self,
-        tensors: dict,
+        batch: Sequence[dict],
         features: Optional[np.ndarray] = None,
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
-    ) -> Tensor:
-        """One sample's fusion vector, features appended when enabled."""
+    ) -> tuple[Tensor, Tensor]:
+        """Class probabilities and classifier hidden states for a batch.
+
+        Each sample maps stream ids to [rows x backbone_dim] tensors; the
+        row counts may differ between samples and streams.
+        """
+        rows = {s: [sample[s].shape[0] for sample in batch] for s in self.streams}
         embedded = {}
         for s in self.streams:
-            x = tensors[s]
+            x = concat([sample[s] for sample in batch], axis=0)
             if s in self.tail_streams:
                 x = self.tail(x)
             embedded[s] = self.embedders[s](x)
@@ -100,6 +107,7 @@ class VerificationModel:
             training=training,
             rng=rng,
             aggregation=self.config.aggregation,
+            rows=rows,
         )
         vec = fused.concatenated()
         if self.use_features:
@@ -108,27 +116,8 @@ class VerificationModel:
                     f"model expects a {FEATURE_DIM}-wide feature vector per sample"
                 )
             feat = Tensor.constant(np.asarray(features), dtype=vec.dtype)
-            vec = concat([vec, feat], axis=0)
-        return vec
-
-    def forward_batch(
-        self,
-        batch: Sequence[dict],
-        features: Optional[np.ndarray] = None,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Class probabilities and classifier hidden states for a batch."""
-        vecs = [
-            self.forward_sample(
-                tensors,
-                features[i] if features is not None else None,
-                training=training,
-                rng=rng,
-            )
-            for i, tensors in enumerate(batch)
-        ]
-        return self.head(stack_rows(vecs), training=training, rng=rng)
+            vec = concat([vec, feat], axis=1)
+        return self.head(vec, training=training, rng=rng)
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.tail.parameters()) if self.tail is not None else {}

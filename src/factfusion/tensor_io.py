@@ -4,8 +4,8 @@ Single-tensor format: magic b"PCFT", rank as uint8, one little-endian uint32
 per extent, then the row-major float32 payload (little-endian). Checkpoints
 wrap a sequence of named tensors: magic b"PCFC", uint8 version, uint32 entry
 count, then per entry a uint16 name length, the UTF-8 name, and a PCFT block.
-Readers reject short reads, bytes after the last block and repeated entry
-names with FormatError.
+Readers reject short reads, payloads larger than the bytes left in the
+file, bytes after the last block and repeated entry names with FormatError.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ def _unpack(f: BinaryIO, fmt: str, what: str) -> tuple:
     return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
 
 
+def _bytes_left(f: BinaryIO) -> int:
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
+
+
 def _check_end(f: BinaryIO) -> None:
     if f.read(1):
         raise FormatError("trailing bytes after the last block")
@@ -73,7 +80,15 @@ def read_tensor_stream(f: BinaryIO) -> np.ndarray:
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds maximum {MAX_RANK}")
     shape = _unpack(f, f"<{rank}I", "tensor shape")
-    payload = _read_exact(f, 4 * math.prod(shape), "payload")
+    # Checked before reading, so a corrupt extent cannot make the reader
+    # allocate the declared size.
+    size = 4 * math.prod(shape)
+    left = _bytes_left(f)
+    if size > left:
+        raise FormatError(
+            f"truncated payload: shape {shape} needs {size} bytes, {left} left"
+        )
+    payload = _read_exact(f, size, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 

@@ -1,9 +1,9 @@
 """Training loop and checkpoint evaluation.
 
-Batches are built by sorting samples by their longest stream and chunking,
-which bounds padding waste; only the chunk order is reshuffled each epoch,
-with the run seed. Two optimizer groups run at different rates: the backbone
-tail at tail_learning_rate, everything else at learning_rate. Per-step loss
+Batches are built by sorting samples by their longest stream and chunking;
+only the chunk order is reshuffled each epoch, with the run seed. Two
+optimizer groups run at different rates: the backbone tail at
+tail_learning_rate, everything else at learning_rate. Per-step loss
 components are appended to a JSON-lines log, and the checkpoint with the best
 validation weighted F1 is kept.
 """
@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .classifier import LossConfig, total_loss
 from .config import RunConfig
 from .data import LABEL_TO_INDEX, DatasetManifest, ingest, load_manifest
@@ -75,12 +75,13 @@ def _predict_probs(
     batch_size: int,
 ) -> np.ndarray:
     out = []
-    for start in range(0, len(data), batch_size):
-        idx = range(start, min(start + batch_size, len(data)))
-        batch = [_as_tensors(data[i][1]) for i in idx]
-        feats = features[list(idx)] if features is not None else None
-        probs, _ = model.forward_batch(batch, feats, training=False)
-        out.append(probs.data.astype(np.float64))
+    with no_grad():
+        for start in range(0, len(data), batch_size):
+            idx = range(start, min(start + batch_size, len(data)))
+            batch = [_as_tensors(data[i][1]) for i in idx]
+            feats = features[list(idx)] if features is not None else None
+            probs, _ = model.forward_batch(batch, feats, training=False)
+            out.append(probs.data.astype(np.float64))
     return np.vstack(out)
 
 

@@ -166,9 +166,6 @@ def _op_cases(rng):
     gf = _p(rng, 4, 3)
     fancy = np.array([0, 0, 2])
     case(lambda: gf[fancy], {"fancy_index.x": gf})
-
-    r1, r2, r3 = _p(rng, 5), _p(rng, 5), _p(rng, 5)
-    case(lambda: ag.stack_rows([r1, r2, r3]), {"stack.a": r1, "stack.b": r2, "stack.c": r3})
     return cases
 
 

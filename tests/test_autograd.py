@@ -29,7 +29,6 @@ from factfusion.autograd import (
     scale,
     softmax,
     sqrt,
-    stack_rows,
     tensor_max,
     tensor_sum,
     transpose,
@@ -242,11 +241,11 @@ class TestFiniteDifferences:
         check_gradients(fn, {"x": x})
 
     def test_concat_and_stack(self, rng):
-        a = param(rng, 3)
-        b = param(rng, 3)
+        a = param(rng, 2, 3)
+        b = param(rng, 1, 3)
 
         def fn():
-            rows = stack_rows([a, b])
+            rows = concat([a, b], axis=0)
             return tensor_sum(concat([rows, rows], axis=1))
 
         check_gradients(fn, {"a": a, "b": b})

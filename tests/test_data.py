@@ -17,7 +17,7 @@ from factfusion.data import (
     synthesize,
     write_manifest,
 )
-from factfusion.tensor_io import read_tensor
+from factfusion.tensor_io import read_tensor, write_tensor
 
 
 class TestLabels:
@@ -184,6 +184,26 @@ class TestIngest:
         victim = m.records[0]
         (tmp_path / "embeddings" / victim.claim_image_embedding_ref).unlink()
         with pytest.raises(ValueError, match=f"sample {victim.sample_id}"):
+            list(ingest(m))
+
+    def test_empty_stream_names_sample_and_stream(self, tmp_path):
+        m = synthesize(1, 8, 0, tmp_path, "train")
+        victim = m.records[2]
+        write_tensor(
+            tmp_path / "embeddings" / victim.doc_image_embedding_ref,
+            np.zeros((0, 8), dtype=np.float32),
+        )
+        with pytest.raises(ValueError, match=f"sample {victim.sample_id}: DI .* no rows"):
+            list(ingest(m))
+
+    def test_non_finite_embedding_names_sample_and_stream(self, tmp_path):
+        m = synthesize(1, 8, 0, tmp_path, "train")
+        victim = m.records[1]
+        path = tmp_path / "embeddings" / victim.claim_text_embedding_ref
+        arr = read_tensor(path)
+        arr[-1, 3] = np.nan
+        write_tensor(path, arr)
+        with pytest.raises(ValueError, match=f"sample {victim.sample_id}: CT .* non-finite"):
             list(ingest(m))
 
     def test_pseudo_embedding_fallback(self, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from factfusion.autograd import ShapeError, Tensor
+from factfusion.autograd import ShapeError, Tensor, concat, reshape
 from factfusion.config import RunConfig
 from factfusion.features import FEATURE_DIM
 from factfusion.model import IMAGE_STREAMS, TEXT_STREAMS, VerificationModel
@@ -104,6 +104,13 @@ class TestForward:
         b, _ = model.forward_batch(batch, feats, training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_zero_row_stream_rejected(self):
+        model = make_model()
+        batch, feats = fake_batch(model)
+        batch[1]["DT"] = Tensor.constant(np.zeros((0, BD), dtype=np.float32))
+        with pytest.raises(ShapeError, match="positive"):
+            model.forward_batch(batch, feats)
+
     def test_same_init_seed_same_params(self):
         a = make_model()
         b = make_model()
@@ -170,3 +177,91 @@ class TestCheckpoint:
         entries[name] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ShapeError, match=name.split(".")[0]):
             model.load_state(entries)
+
+
+def per_sample_reference(model, batch, feats):
+    """forward_batch assembled from one single-sample fuse call per sample."""
+    vecs = []
+    for i, sample in enumerate(batch):
+        embedded = {}
+        for s in model.streams:
+            x = sample[s]
+            if s in model.tail_streams:
+                x = model.tail(x)
+            embedded[s] = model.embedders[s](x)
+        fused = model.fusion.fuse(embedded, aggregation=model.config.aggregation)
+        vec = fused.concatenated()
+        if model.use_features:
+            vec = concat([vec, Tensor.constant(feats[i])], axis=0)
+        vecs.append(reshape(vec, (1, vec.shape[0])))
+    return model.head(concat(vecs, axis=0))
+
+
+def ragged_batch(model, n, rng):
+    """float64 streams of 1-6 rows; every stream of the first sample has one row."""
+    batch = [
+        {
+            s: Tensor.constant(
+                rng.standard_normal((1 if i == 0 else int(rng.integers(1, 7)), BD))
+            )
+            for s in model.streams
+        }
+        for i in range(n)
+    ]
+    return batch, rng.standard_normal((n, FEATURE_DIM))
+
+
+def outputs_and_grads(model, forward, seed):
+    """probs, hidden and every trainable gradient of a fixed random readout."""
+    probs, hidden = forward()
+    rng = np.random.default_rng(seed)
+    readout = (
+        probs * Tensor.constant(rng.standard_normal(probs.shape))
+    ).sum() + (hidden * Tensor.constant(rng.standard_normal(hidden.shape))).sum()
+    params = model.trainable_parameters()
+    for p in params.values():
+        p.zero_grad()
+    readout.backward()
+    grads = {name: p.grad for name, p in params.items()}
+    return probs.data, hidden.data, grads
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},
+            {"aggregation": "mean_max_last"},
+            {"text_only": True},
+            {"tail_text_streams": True},
+            {"full_width_scaling": True},
+            {"adapter_scope": "all"},
+        ],
+        ids=["default", "mean_max_last", "text_only", "tail_text_streams",
+             "full_width_scaling", "adapter_all"],
+    )
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_packed_batch_matches_per_sample_forward(self, knobs, n):
+        cfg = RunConfig(**{**TINY, **knobs})
+        model = VerificationModel(
+            cfg, BD, rng=np.random.default_rng(7), dtype=np.float64
+        )
+        # The frozen tail's inner biases start negative; nudge them so both
+        # sides of its ReLU are exercised.
+        if model.tail is not None:
+            model.tail.b1.data = model.tail.b1.data + 0.5
+        batch, feats = ragged_batch(model, n, np.random.default_rng(100 + n))
+        feats = feats if model.use_features else None
+
+        got = outputs_and_grads(
+            model, lambda: model.forward_batch(batch, feats, training=False), 1
+        )
+        want = outputs_and_grads(
+            model, lambda: per_sample_reference(model, batch, feats), 1
+        )
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-6)
+        assert set(got[2]) == set(want[2])
+        for name, grad in want[2].items():
+            assert grad is not None and got[2][name] is not None, name
+            np.testing.assert_allclose(got[2][name], grad, rtol=0, atol=1e-6, err_msg=name)

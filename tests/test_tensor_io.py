@@ -22,6 +22,11 @@ from factfusion.tensor_io import (
 )
 
 
+def huge_header(shape) -> bytes:
+    """A PCFT header declaring `shape`, without its payload."""
+    return TENSOR_MAGIC + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
 class TestTensorLayout:
     def test_exact_bytes_for_2x2(self):
         arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
@@ -123,6 +128,13 @@ class TestTensorErrors:
         with pytest.raises(FormatError, match="trailing"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("shape", [(2**31,), (2**32 - 1,) * 3])
+    def test_oversized_extent_rejected_before_reading(self, tmp_path, shape):
+        path = tmp_path / "huge.pcft"
+        path.write_bytes(huge_header(shape) + b"\x00" * 16)
+        with pytest.raises(FormatError, match="truncated payload"):
+            read_tensor(path)
+
     def test_excessive_rank_in_header(self, tmp_path):
         path = tmp_path / "rank.pcft"
         path.write_bytes(TENSOR_MAGIC + struct.pack("<B", 9))
@@ -198,6 +210,16 @@ class TestCheckpoint:
             CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 2) + entry * 2
         )
         with pytest.raises(FormatError, match="duplicate"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [(2**31,), (2**32 - 1,) * 3])
+    def test_oversized_extent_rejected_before_reading(self, tmp_path, shape):
+        path = tmp_path / "huge.pcfc"
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"w" + huge_header(shape) + b"\x00" * 16
+        )
+        with pytest.raises(FormatError, match="truncated payload"):
             read_checkpoint(path)
 
     def test_non_utf8_name_rejected(self, tmp_path):

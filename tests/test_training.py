@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from factfusion.autograd import Tensor
 from factfusion.config import RunConfig
-from factfusion.data import synthesize
+from factfusion.data import ingest, synthesize
+from factfusion.features import FeatureScaler, extract_corpus
+from factfusion.model import VerificationModel
 from factfusion.training import evaluate, train
 
 TINY = dict(
@@ -125,6 +128,30 @@ class TestEvaluate:
             ev.prob_matrix.probs, result.prob_matrix.probs, atol=1e-6
         )
         assert ev.f1 == pytest.approx(result.best_f1, abs=1e-9)
+
+    def test_matches_forward_batch_and_builds_no_graph(self, run, dataset, monkeypatch):
+        cfg, _, result = run
+        _, val_man = dataset
+        forward = VerificationModel.forward_batch
+        seen = []
+
+        def recording(self, *args, **kwargs):
+            probs, hidden = forward(self, *args, **kwargs)
+            seen.extend([probs, hidden])
+            return probs, hidden
+
+        monkeypatch.setattr(VerificationModel, "forward_batch", recording)
+        ev = evaluate(result.checkpoint, val_man)
+        assert seen
+        for out in seen:
+            assert out._parents == () and not out.requires_grad
+
+        model, entries = VerificationModel.from_checkpoint(result.checkpoint, cfg, 8)
+        data = list(ingest(val_man, cfg.max_seq_len))
+        batch = [{s: Tensor.constant(a) for s, a in arrays.items()} for _, arrays in data]
+        feats = extract_corpus(val_man.records, FeatureScaler.from_entries(entries))
+        probs, _ = forward(model, batch, feats.astype(np.float32), training=False)
+        np.testing.assert_allclose(ev.prob_matrix.probs, probs.data, rtol=0, atol=1e-6)
 
     def test_idempotent(self, run, dataset):
         _, _, result = run
