@@ -112,7 +112,11 @@ class Tensor:
     # -- backward -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar; accumulates into .grad fields."""
+        """Reverse-mode sweep from a scalar; accumulates into each leaf's .grad.
+
+        Only leaves (parameters and inputs, the tensors without _backward)
+        keep a gradient; interior nodes pass theirs on and keep grad None.
+        """
         if self.data.size != 1:
             raise GraphError(
                 f"backward requires a scalar loss, got shape {self.shape}"
@@ -138,9 +142,9 @@ class Tensor:
             g = flows.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
             if node._backward is None:
+                if node.requires_grad:
+                    node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:

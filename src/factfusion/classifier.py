@@ -48,10 +48,6 @@ class LossConfig:
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
-    @classmethod
-    def contrastive(cls) -> "LossConfig":
-        return cls(alpha=0.7)
-
 
 @dataclass
 class LossParts:

@@ -33,6 +33,7 @@ POWER_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 ROW_SUM_TOL = 1e-4
 PROB_FLOOR = 1e-12
 N_CLASSES = len(LABELS)
+BLOCK_ROWS = 256  # most candidates scored at once; bounds the [k x n x 5] scores
 
 
 @dataclass
@@ -55,6 +56,17 @@ class ProbMatrix:
                 f"{self.model_id}: {len(self.sample_ids)} sample ids for "
                 f"{self.probs.shape[0]} probability rows"
             )
+        # "".join(s.splitlines()) != s when s holds a line break of any kind.
+        if "".join(self.model_id.splitlines()) != self.model_id:
+            raise ValueError(f"model id {self.model_id!r} holds a line break")
+        joined = "".join(self.sample_ids)  # one scan; the loop finds the row
+        if "," in joined or "".join(joined.splitlines()) != joined:
+            for row, sid in enumerate(self.sample_ids):
+                if "," in sid or "".join(sid.splitlines()) != sid:
+                    raise ValueError(
+                        f"{self.model_id}: row {row} sample id {sid!r} holds a "
+                        f"comma or a line break"
+                    )
         inside = (self.probs >= 0.0) & (self.probs <= 1.0)  # False for NaN
         if not inside.all():
             row = np.flatnonzero(~inside.all(axis=1))[0]
@@ -77,7 +89,7 @@ class ProbMatrix:
     def save(self, path) -> None:
         lines = [f"{self.model_id},{self.n_samples}"]
         for sid, row in zip(self.sample_ids, self.probs):
-            lines.append(sid + "," + ",".join(f"{p:.10g}" for p in row))
+            lines.append(sid + "," + ",".join(map(repr, row.tolist())))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -160,11 +172,11 @@ class EnsembleSpec:
     def save(self, path, achieved_f1: Optional[float] = None) -> None:
         lines = [f"variant = {self.variant}", f"models = {self.n_models}"]
         for i, w in enumerate(self.weights, 1):
-            lines.append(f"w{i} = {w:.10g}")
+            lines.append(f"w{i} = {w!r}")
         for i, p in enumerate(self.powers, 1):
-            lines.append(f"n{i} = {p:.10g}")
+            lines.append(f"n{i} = {p!r}")
         if achieved_f1 is not None:
-            lines.append(f"achieved_f1 = {achieved_f1:.10g}")
+            lines.append(f"achieved_f1 = {float(achieved_f1)!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -177,16 +189,44 @@ class EnsembleSpec:
             if "=" not in line:
                 raise ValueError(f"{path}: malformed line {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in kv:
+                raise ValueError(f"{path}: repeated key {key!r}")
             kv[key] = value
         try:
             m = int(kv["models"])
-            return cls(
+            spec = cls(
                 variant=kv["variant"],
                 weights=tuple(float(kv[f"w{i}"]) for i in range(1, m + 1)),
                 powers=tuple(float(kv[f"n{i}"]) for i in range(1, m + 1)),
             )
         except KeyError as missing:
             raise ValueError(f"{path}: missing key {missing}") from None
+        read = [f"{c}{i}" for c in "wn" for i in range(1, m + 1)]  # all in kv: 2m <= len(kv)
+        unknown = sorted(kv.keys() - {"variant", "models", "achieved_f1", *read})
+        if unknown:
+            raise ValueError(f"{path}: unexpected key {unknown[0]!r}")
+        return spec
+
+
+def _blend_scores(clamped, weights, powers) -> np.ndarray:
+    """Blend scores [k x samples x 5] for [k x m] weights and [k x m] powers or
+    one shared [1 x m] power row; row i is exactly blend() of its spec."""
+    # One np.power call per row with a scalar exponent, as blend() makes: numpy
+    # squares, roots or copies for 2, 0.5 and 1 only for a scalar exponent and
+    # may otherwise take its general pow, which rounds differently. One buffer
+    # per call: more block-sized arrays make glibc's malloc return the heap to
+    # the OS after every block, and those page faults cost more than the blend.
+    k = weights.shape[0]
+    shared = powers.shape[0] < k
+    buffer = np.empty((2 * k + shared,) + clamped.shape[1:])
+    scores, term = buffer[:k], buffer[k : 2 * k]
+    powered = buffer[2 * k :] if shared else term
+    scores.fill(0.0)
+    for j in range(clamped.shape[0]):
+        for row, power in zip(powered, powers[:, j]):
+            np.power(clamped[j], power, out=row)
+        scores += np.multiply(weights[:, j, None, None], powered, out=term)
+    return scores
 
 
 def blend(mats: Sequence[ProbMatrix], spec: EnsembleSpec) -> np.ndarray:
@@ -196,10 +236,8 @@ def blend(mats: Sequence[ProbMatrix], spec: EnsembleSpec) -> np.ndarray:
         raise ValueError(
             f"spec covers {spec.n_models} models but {len(mats)} matrices given"
         )
-    scores = np.zeros_like(mats[0].probs)
-    for mat, w, p in zip(mats, spec.weights, spec.powers):
-        scores += w * np.clip(mat.probs, PROB_FLOOR, 1.0) ** p
-    return scores
+    clamped = np.stack([np.clip(mat.probs, PROB_FLOOR, 1.0) for mat in mats])
+    return _blend_scores(clamped, np.array([spec.weights]), np.array([spec.powers]))[0]
 
 
 def predict(scores: np.ndarray) -> np.ndarray:
@@ -213,34 +251,12 @@ class TuneResult:
     evaluations: int
 
 
-def _score_weight_block(
-    powered: np.ndarray, weight_block: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """F1 for many weight rows against one stack of powered matrices."""
-    scores = np.einsum("km,msc->ksc", weight_block, powered)
-    return weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
-
-
-def _score_blends(
-    clamped: np.ndarray, weights: np.ndarray, powers: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """F1 for each row of a [k x m] block of weights and matching powers.
-
-    Sums the powered members model by model, as blend() does.
-    """
-    scores = np.zeros((weights.shape[0],) + clamped.shape[1:])
-    for j in range(clamped.shape[0]):
-        scores += weights[:, j, None, None] * clamped[j] ** powers[:, j, None, None]
-    return weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
-
-
-def _improve(
-    best: Optional[tuple], f1s: np.ndarray, weights: np.ndarray, powers: np.ndarray
-) -> tuple:
-    """The better of best and a scored block, as (f1, (weights, powers)).
-
-    Ties go to the lexicographically smallest (weights, powers) key.
-    """
+def _improve(best: Optional[tuple], clamped, weights, powers, labels) -> tuple:
+    """Score a block of at most BLOCK_ROWS blends; return the better of it and
+    best as (f1, (weights, powers)), ties going to the smallest such key."""
+    scores = _blend_scores(clamped, weights, powers)
+    f1s = weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
+    powers = np.broadcast_to(powers, weights.shape)
     top = f1s.max()
     if best is not None and top < best[0]:
         return best
@@ -252,18 +268,10 @@ def _improve(
     return best
 
 
-def _weight_combos(m: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.array(WEIGHT_GRID)] * m), indexing="ij")
+def _grid(values: Sequence[float], m: int) -> np.ndarray:
+    """Every m-tuple of values as rows, the last member varying fastest."""
+    grids = np.meshgrid(*([np.array(values)] * m), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _power_combos(variant: str, m: int) -> list:
-    if variant in ("average", "weighted"):
-        return [(1.0,) * m]
-    if variant == "power":
-        return [(p,) * m for p in POWER_GRID]
-    grids = np.meshgrid(*([np.array(POWER_GRID)] * m), indexing="ij")
-    return [tuple(row) for row in np.stack([g.ravel() for g in grids], axis=1)]
 
 
 def tune(
@@ -280,7 +288,8 @@ def tune(
     tuned ensemble never scores below its best single member except through
     argmax near-ties. Deterministic for a given seed. Ties are broken toward
     the lexicographically smallest (weights, powers) tuple so that reruns
-    and differently-batched evaluations agree on the winner.
+    and differently-batched evaluations agree on the winner. Candidates are
+    scored with blend()'s own sum, so blend() of the spec gives the same F1.
     """
     _check_aligned(mats)
     if variant not in VARIANTS:
@@ -295,66 +304,55 @@ def tune(
         )
     m = len(mats)
     clamped = np.stack([np.clip(mat.probs, PROB_FLOOR, 1.0) for mat in mats])
+    tied_ones = np.ones((1, m))
 
     if variant == "average":
         spec = EnsembleSpec.average(m)
-        f1 = _score_weight_block(
-            clamped, np.full((1, m), 1.0 / m), labels
-        )[0]
-        return TuneResult(spec=spec, f1=float(f1), evaluations=1)
+        f1, _ = _improve(None, clamped, np.full((1, m), 1.0 / m), tied_ones, labels)
+        return TuneResult(spec=spec, f1=f1, evaluations=1)
+
+    power_rows = {
+        "weighted": tied_ones,
+        "power": np.repeat(np.array(POWER_GRID)[:, None], m, axis=1),
+        "unified": _grid(POWER_GRID, m),
+    }[variant]
+    weight_grid = _grid(WEIGHT_GRID, m)
+    grid_blocks = (
+        (weight_grid[start : start + BLOCK_ROWS], powers[None])
+        for powers in power_rows
+        for start in range(0, len(weight_grid), BLOCK_ROWS)
+    )
 
     best: Optional[tuple] = None
     evaluations = 0
-    weight_block = _weight_combos(m)
-
-    for powers in _power_combos(variant, m):
+    for weights, powers in grid_blocks:
         if evaluations >= budget:
             break
-        block = weight_block[: budget - evaluations]
-        powered = clamped ** np.asarray(powers)[:, None, None]
-        f1s = _score_weight_block(powered, block, labels)
-        evaluations += block.shape[0]
-        best = _improve(best, f1s, block, np.broadcast_to(powers, block.shape))
+        weights = weights[: budget - evaluations]
+        best = _improve(best, clamped, weights, powers, labels)
+        evaluations += weights.shape[0]
 
     # Corner candidates isolating each model at the clip extremes; with the
     # other members suppressed to w=0.01 (and, for unified, flattened by
     # power 8) the blend reproduces that model's own predictions on all but
     # razor-thin argmax margins.
-    corner_w = np.full((m, m), 0.01)
-    np.fill_diagonal(corner_w, 10.0)
-    corner_p = np.ones((m, m))
-    if variant == "unified":
-        corner_p = np.full((m, m), 8.0)
-        np.fill_diagonal(corner_p, 1.0)
-    best = _improve(
-        best, _score_blends(clamped, corner_w, corner_p, labels), corner_w, corner_p
-    )
+    corner_w = np.where(np.eye(m), 10.0, 0.01)
+    corner_p = np.where(np.eye(m), 1.0, 8.0) if variant == "unified" else tied_ones
+    best = _improve(best, clamped, corner_w, corner_p, labels)
     evaluations += m
 
     rng = np.random.default_rng(seed)
     while evaluations < budget:
-        k = min(256, budget - evaluations)
+        k = min(BLOCK_ROWS, budget - evaluations)
         base_w, base_p = (np.asarray(v) for v in best[1])
         w_prop = np.clip(base_w + rng.normal(0.0, 0.05, size=(k, m)), 0.01, 10.0)
-        if variant == "weighted":
-            p_prop = np.ones((k, m))
-        elif variant == "power":
-            shared = np.clip(
-                base_p[0] * np.exp(rng.normal(0.0, 0.2, size=(k, 1))), 0.01, 8.0
-            )
-            p_prop = np.repeat(shared, m, axis=1)
-        else:
-            p_prop = np.clip(
-                base_p * np.exp(rng.normal(0.0, 0.2, size=(k, m))), 0.01, 8.0
-            )
-        f1s = _score_blends(clamped, w_prop, p_prop, labels)
+        p_prop = tied_ones
+        if variant != "weighted":
+            free = 1 if variant == "power" else m  # power draws one per row
+            jitter = np.exp(rng.normal(0.0, 0.2, size=(k, free)))
+            p_prop = np.clip(base_p[:free] * jitter, 0.01, 8.0).repeat(m // free, axis=1)
+        best = _improve(best, clamped, w_prop, p_prop, labels)
         evaluations += k
-        best = _improve(best, f1s, w_prop, p_prop)
 
-    best_f1, (weights, powers) = best
-    if variant == "weighted":
-        powers = (1.0,) * m
-    elif variant == "power":
-        powers = (powers[0],) * m
-    spec = EnsembleSpec(variant=variant, weights=weights, powers=powers)
-    return TuneResult(spec=spec, f1=best_f1, evaluations=evaluations)
+    f1, (weights, powers) = best
+    return TuneResult(EnsembleSpec(variant, weights, powers), f1, evaluations)

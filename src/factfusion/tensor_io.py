@@ -6,15 +6,18 @@ wrap a sequence of named tensors: magic b"PCFC", uint8 version, uint32 entry
 count, then per entry a uint16 name length, the UTF-8 name, and a PCFT block.
 Readers reject short reads, payloads larger than the bytes left in the
 file, bytes after the last block and repeated entry names with FormatError.
+Checkpoints are written to a temp file that then replaces the target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Mapping, Union
+from typing import IO, BinaryIO, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -110,8 +113,26 @@ def tensor_bytes(array) -> bytes:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def atomic_writer(path: PathLike, mode: str = "wb", **open_kwargs) -> Iterator[IO]:
+    """Open a temp file beside path that replaces path once fully written.
+
+    A write that raises leaves path as it was and removes the temp file, so a
+    crash never leaves a truncated file under the final name.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_checkpoint(path: PathLike, entries: Mapping[str, object]) -> None:
-    with open(path, "wb") as f:
+    with atomic_writer(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<B", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(entries)))

@@ -26,6 +26,7 @@ from .features import FeatureScaler, extract_corpus
 from .metrics import confusion_matrix, weighted_f1
 from .model import VerificationModel
 from .optim import Adam
+from .tensor_io import atomic_writer
 
 ManifestLike = Union[str, Path, DatasetManifest]
 
@@ -205,9 +206,8 @@ def _write_meta(
         "best_epoch": epoch,
         "best_f1": f1,
     }
-    Path(str(ckpt_path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_writer(str(ckpt_path) + ".meta.json", "w", encoding="utf-8") as f:
+        f.write(json.dumps(meta, indent=2) + "\n")
 
 
 def evaluate(

@@ -149,6 +149,16 @@ class TestBackward:
         assert c.grad is None
         np.testing.assert_allclose(x.grad, c.data)
 
+    def test_only_leaves_keep_gradients(self, rng):
+        x = param(rng, 3)
+        w = param(rng, 3)
+        hidden = mul(x, w)
+        loss = tensor_sum(mul(hidden, hidden))
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2.0 * x.data * w.data**2, atol=1e-12)
+        np.testing.assert_allclose(w.grad, 2.0 * w.data * x.data**2, atol=1e-12)
+
     def test_shared_node_fan_out(self, rng):
         x = param(rng, 3)
         y = add(x, x)

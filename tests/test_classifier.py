@@ -216,11 +216,6 @@ class TestTotalLoss:
         expected = 0.7 * parts.cross_entropy.item() + 0.3 * parts.contrastive.item()
         assert parts.total.item() == pytest.approx(expected, rel=1e-9)
 
-    def test_contrastive_preset(self):
-        cfg = LossConfig.contrastive()
-        assert cfg.alpha == 0.7
-        assert cfg.tau == 0.3
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             LossConfig(alpha=1.5)

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from factfusion.ensemble import (
     POWER_GRID,
+    PROB_FLOOR,
     VARIANTS,
     WEIGHT_GRID,
     EnsembleSpec,
     ProbMatrix,
+    _blend_scores,
     blend,
     predict,
     tune,
@@ -75,6 +79,15 @@ class TestProbMatrix:
         with pytest.raises(ValueError, match="sample ids"):
             ProbMatrix("m", ["a", "b"], np.full((1, 5), 0.2))
 
+    @pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\r", "\u2028"])
+    def test_rejects_sample_id_that_breaks_the_file(self, sid):
+        with pytest.raises(ValueError, match=r"probe: row 1 sample id"):
+            mat(P1, model_id="probe", ids=["s0", sid])
+
+    def test_rejects_model_id_with_line_break(self):
+        with pytest.raises(ValueError, match="line break"):
+            mat(P1, model_id="seed\n42")
+
     def test_save_load_round_trip(self, tmp_path):
         m = mat(P1, model_id="seed42")
         path = tmp_path / "probs.csv"
@@ -136,11 +149,63 @@ class TestEnsembleSpec:
         assert "n3 = 0.25" in text
         assert "achieved_f1 = 0.9123" in text
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("varient = power\n", "varient"),
+            ("w1 = 0.9\n", "w1"),
+            ("w3 = 0.5\nn3 = 1\n", "n3"),
+            ("w3 = 0.5\n", "w3"),
+            ("w01 = 0.5\n", "w01"),
+        ],
+    )
+    def test_load_rejects_unknown_repeated_and_surplus_keys(
+        self, tmp_path, extra, key
+    ):
+        path = tmp_path / "spec.cfg"
+        path.write_text(
+            "variant = unified\nmodels = 2\nw1 = 0.5\nw2 = 0.5\n"
+            "n1 = 1\nn2 = 1\n# comment\n\nachieved_f1 = 0.5\n" + extra
+        )
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            EnsembleSpec.load(path)
+
     def test_load_missing_key(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("variant = unified\nmodels = 2\nw1 = 0.5\nw2 = 0.5\nn1 = 1\n")
         with pytest.raises(ValueError, match="missing key"):
             EnsembleSpec.load(path)
+
+
+probability_rows = st.lists(
+    st.floats(min_value=1e-300, max_value=1.0), min_size=5, max_size=5
+).map(lambda row: np.array(row) / np.sum(row))
+
+
+class TestFileRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(probability_rows, min_size=1, max_size=4),
+        weights=st.lists(
+            st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=4
+        ),
+        powers=st.lists(
+            st.floats(min_value=1e-6, max_value=8.0), min_size=4, max_size=4
+        ),
+        f1=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_save_load_is_bit_exact(self, tmp_path_factory, rows, weights, powers, f1):
+        path = tmp_path_factory.mktemp("files")
+        probs = mat(rows, model_id="seed42")
+        probs.save(path / "probs.csv")
+        back = ProbMatrix.load(path / "probs.csv")
+        assert back.sample_ids == probs.sample_ids
+        np.testing.assert_array_equal(back.probs, probs.probs)
+
+        spec = EnsembleSpec("unified", weights, powers[: len(weights)])
+        spec.save(path / "spec.cfg", achieved_f1=np.float64(f1))
+        assert EnsembleSpec.load(path / "spec.cfg") == spec
+        assert f"achieved_f1 = {f1!r}" in (path / "spec.cfg").read_text()
 
 
 class TestBlend:
@@ -318,6 +383,89 @@ class TestTune:
         assert w.powers == (1.0, 1.0)
         p = tune(mats, labels, variant="power", budget=500, seed=0).spec
         assert len(set(p.powers)) == 1
+
+
+# Count rows normalized by their sums: small integer counts make exact ties
+# between class scores common.
+REPRO_LABELS = [3, 1, 0, 1, 1, 1, 0, 0, 3, 4, 0]
+REPRO_COUNTS = {
+    "a": [[1, 3, 3, 3, 1], [0, 1, 1, 2, 3], [1, 2, 1, 1, 0], [3, 1, 2, 0, 3],
+          [2, 3, 2, 0, 0], [3, 2, 2, 2, 2], [1, 2, 3, 0, 0], [3, 0, 2, 3, 0],
+          [2, 3, 3, 0, 2], [0, 3, 1, 2, 0], [0, 2, 0, 3, 1]],
+    "b": [[2, 0, 3, 0, 1], [1, 2, 2, 3, 3], [0, 0, 2, 2, 2], [0, 1, 3, 2, 0],
+          [2, 3, 3, 0, 0], [2, 3, 0, 1, 0], [3, 3, 1, 2, 3], [2, 2, 3, 3, 3],
+          [0, 1, 2, 3, 1], [2, 2, 0, 0, 3], [1, 2, 3, 3, 1]],
+}
+
+
+def counts_mat(counts, model_id):
+    counts = np.asarray(counts, dtype=np.float64)
+    return mat(counts / counts.sum(axis=1, keepdims=True), model_id)
+
+
+def blend_f1(mats, labels, spec):
+    return weighted_f1(labels, predict(blend(mats, spec)), 5)[0]
+
+
+def grid_size(variant, m):
+    powers = {"average": 1, "weighted": 1, "power": len(POWER_GRID)}
+    return len(WEIGHT_GRID) ** m * powers.get(variant, len(POWER_GRID) ** m)
+
+
+class TestTuneBlendContract:
+    def test_exact_tie_resolves_as_blend_does(self):
+        # Sample 6 ties classes 1 and 2 exactly under w = (0.2, 0.5),
+        # n = (2, 2); every candidate must break it the way blend() does.
+        mats = [counts_mat(c, name) for name, c in REPRO_COUNTS.items()]
+        labels = np.array(REPRO_LABELS)
+        result = tune(mats, labels, "power", budget=500, seed=0)
+        assert result.f1 == blend_f1(mats, labels, result.spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tuned_f1_is_blend_f1_and_blocks_are_blends(self, data, tmp_path_factory):
+        m = data.draw(st.integers(1, 3), label="models")
+        n = data.draw(st.integers(2, 12), label="samples")
+        count_row = st.lists(st.integers(0, 3), min_size=5, max_size=5).filter(any)
+        count_rows = st.lists(count_row, min_size=n, max_size=n)
+        mats = [counts_mat(data.draw(count_rows), f"m{j}") for j in range(m)]
+        labels = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+
+        # Budgets that end in the grid, in the corners and in the refinement.
+        variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+        grid = grid_size(variant, m)
+        low, high = data.draw(
+            st.sampled_from([(1, grid - 1), (grid, grid + m), (grid + m + 1, 3000)])
+        )
+        assume(low <= min(high, 3000))
+        budget = data.draw(st.integers(low, min(high, 3000)), label="budget")
+        seed = data.draw(st.integers(0, 9), label="seed")
+        result = tune(mats, labels, variant, budget=budget, seed=seed)
+        assert result.f1 == blend_f1(mats, labels, result.spec)
+        path = tmp_path_factory.mktemp("spec") / "spec.cfg"
+        result.spec.save(path, achieved_f1=result.f1)
+        reloaded = EnsembleSpec.load(path)
+        assert reloaded == result.spec
+        assert result.f1 == blend_f1(mats, labels, reloaded)
+
+        # Grid values include 0.5, 1 and 2, which numpy may power by a
+        # special case; every row must still match blend() bit for bit.
+        k = data.draw(st.integers(1, 5), label="rows")
+        weight = st.one_of(st.sampled_from(WEIGHT_GRID), st.floats(0.01, 10.0))
+        power = st.one_of(st.sampled_from(POWER_GRID), st.floats(0.01, 8.0))
+
+        def block(values):
+            rows = st.lists(values, min_size=m, max_size=m)
+            return np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+
+        weights, powers = block(weight), block(power)
+        clamped = np.stack([np.clip(x.probs, PROB_FLOOR, 1.0) for x in mats])
+        for block_powers in (powers, powers[:1]):
+            scores = _blend_scores(clamped, weights, block_powers)
+            for i in range(k):
+                row_powers = block_powers[min(i, len(block_powers) - 1)]
+                spec = EnsembleSpec("unified", weights[i], row_powers)
+                assert np.array_equal(scores[i], blend(mats, spec))
 
 
 class TestGrids:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factfusion.autograd import Tensor
+from factfusion.autograd import MAX_RANK, Tensor
 from factfusion.tensor_io import (
     CHECKPOINT_MAGIC,
     TENSOR_MAGIC,
     FormatError,
+    atomic_writer,
     read_checkpoint,
     read_tensor,
     read_tensor_stream,
@@ -231,6 +232,29 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="UTF-8"):
             read_checkpoint(path)
 
+
+
+class TestAtomicWrites:
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path):
+        path = tmp_path / "best.pcfc"
+        write_checkpoint(path, {"a": np.ones((2, 2))})
+        # The second entry is rejected after the first has been written.
+        with pytest.raises(FormatError, match="rank"):
+            write_checkpoint(
+                path, {"a": np.zeros((2, 2)), "b": np.zeros((1,) * (MAX_RANK + 1))}
+            )
+        np.testing.assert_array_equal(read_checkpoint(path)["a"], np.ones((2, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["best.pcfc"]
+
+    def test_failed_text_write_keeps_previous(self, tmp_path):
+        path = tmp_path / "best.pcfc.meta.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(path, "w", encoding="utf-8") as f:
+                f.write("half")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestCheckpointTruncation:
