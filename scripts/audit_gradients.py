@@ -3,8 +3,11 @@
 
 Builds a small full pipeline (adapter + tail + fusion + classifier) in
 float64, evaluates the joint loss on a random two-sample batch, and compares
-every analytic gradient against central differences. Prints the worst
-relative error per parameter tensor so regressions are easy to localize:
+every analytic gradient against central differences. Each seed is audited
+twice: in eval mode without dropout, and in training mode with dropout 0.1,
+where every evaluation redraws the same masks from a fixed-seed rng. Prints
+the worst relative error per parameter tensor so regressions are easy to
+localize:
 
     python3 scripts/audit_gradients.py --seeds 3 --sample-per-param 8
 """
@@ -26,9 +29,13 @@ from factfusion.gradcheck import check_gradients
 from factfusion.model import VerificationModel
 
 
-def build_case(seed: int, backbone_dim: int):
+# (label, dropout rate); a nonzero rate audits in training mode.
+MODES = (("eval", 0.0), ("train dropout 0.1", 0.1))
+
+
+def build_case(seed: int, backbone_dim: int, dropout: float):
     cfg = RunConfig(
-        d=8, heads=2, ff_inner=16, d_m=8, dropout=0.0, max_seq_len=8,
+        d=8, heads=2, ff_inner=16, d_m=8, dropout=dropout, max_seq_len=8,
         adapter_scope="all", alpha=0.7,
     )
     model = VerificationModel(
@@ -49,7 +56,10 @@ def build_case(seed: int, backbone_dim: int):
     loss_cfg = LossConfig(alpha=0.7, tau=0.3)
 
     def fn():
-        probs, hidden = model.forward_batch(batch, feats, training=False)
+        probs, hidden = model.forward_batch(
+            batch, feats, training=dropout > 0.0,
+            rng=np.random.default_rng(7000 + seed),
+        )
         return total_loss(probs, hidden, labels, loss_cfg).total
 
     return fn, model.trainable_parameters()
@@ -72,30 +82,33 @@ def main() -> int:
     sample = args.sample_per_param if args.sample_per_param > 0 else None
     failures = 0
     for seed in range(args.seeds):
-        fn, params = build_case(seed, args.backbone_dim)
-        t0 = time.perf_counter()
-        try:
-            report = check_gradients(
-                fn, params, h=args.h, rtol=args.rtol,
-                sample_per_param=sample, rng=np.random.default_rng(900 + seed),
-            )
-        except AssertionError as exc:
-            failures += 1
-            print(f"seed {seed}: FAIL — {exc}")
-            continue
-        elapsed = time.perf_counter() - t0
-        print(f"seed {seed}: max rel err {report.max_rel_err:.2e} over "
-              f"{report.checked} elements ({report.skipped_kinks} kink skips, "
-              f"{elapsed:.1f}s); worst at {report.worst}")
-        ranked = sorted(zip(params.keys(), report.per_param),
-                        key=lambda kv: kv[1], reverse=True)
-        for name, err in ranked[: args.top]:
-            print(f"    {err:.2e}  {name}")
+        for label, dropout in MODES:
+            fn, params = build_case(seed, args.backbone_dim, dropout)
+            t0 = time.perf_counter()
+            try:
+                report = check_gradients(
+                    fn, params, h=args.h, rtol=args.rtol,
+                    sample_per_param=sample, rng=np.random.default_rng(900 + seed),
+                )
+            except AssertionError as exc:
+                failures += 1
+                print(f"seed {seed} {label}: FAIL — {exc}")
+                continue
+            elapsed = time.perf_counter() - t0
+            print(f"seed {seed} {label}: max rel err {report.max_rel_err:.2e} over "
+                  f"{report.checked} elements ({report.skipped_kinks} kink skips, "
+                  f"{elapsed:.1f}s); worst at {report.worst}")
+            ranked = sorted(zip(params.keys(), report.per_param),
+                            key=lambda kv: kv[1], reverse=True)
+            for name, err in ranked[: args.top]:
+                print(f"    {err:.2e}  {name}")
 
+    cases = args.seeds * len(MODES)
     if failures:
-        print(f"{failures}/{args.seeds} seeds failed at rtol {args.rtol}")
+        print(f"{failures}/{cases} cases failed at rtol {args.rtol}")
         return 1
-    print(f"all {args.seeds} seeds within rtol {args.rtol}")
+    print(f"all {cases} cases ({args.seeds} seeds x {len(MODES)} modes) "
+          f"within rtol {args.rtol}")
     return 0
 
 

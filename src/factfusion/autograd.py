@@ -214,9 +214,14 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return Tensor(x, dtype=dtype)
 
 
+def _tracked(parents: tuple) -> bool:
+    """Whether an op on these parents joins the backward graph."""
+    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+
+
 def _make(out_data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _tracked(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -405,6 +410,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _make(out, (x, gain, bias), backward)
 
 
+def _keep_mask(
+    shape: tuple,
+    dtype,
+    p: float,
+    rng: Optional[np.random.Generator],
+    training: bool,
+) -> Optional[np.ndarray]:
+    """Inverted-dropout multiplier drawn from rng; None when dropout is the identity."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    if p == 0.0 or not training:
+        return None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an explicit rng")
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
 def dropout(
     x: Tensor,
     p: float,
@@ -416,18 +438,98 @@ def dropout(
     Training-mode dropout draws its mask from rng, which must be given, so
     every mask comes from an explicitly seeded generator.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0 or not training:
+    keep = _keep_mask(x.shape, x.dtype, p, rng, training)
+    if keep is None:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
     def backward(g):
         return (g * keep,)
 
     return _make(x.data * keep, (x,), backward)
+
+
+def _key_mask(length: int, total: int, dtype) -> np.ndarray:
+    mask = np.zeros((1, 1, total), dtype=dtype)
+    mask[..., length:] = -np.inf
+    return mask
+
+
+def attention_core(
+    queries: Tensor,
+    keys_t: Tensor,
+    values: Tensor,
+    query_segs: Sequence[tuple],
+    key_segs: Sequence[tuple],
+    p: float,
+    rng: Optional[np.random.Generator],
+    training: bool,
+    weights: Optional[list] = None,
+) -> Tensor:
+    """Segment-wise attention over packed heads, as one graph node.
+
+    queries [H, Σq, d/H] (already scaled), keys_t [H, d/H, Σk] and values
+    [H, Σk, d/H] hold the rows of several samples. Segment i is a
+    (start, stop, valid) row range: query rows qs:qe attend to key rows
+    ks:ke through softmax(q·kᵀ), key rows past ks + valid getting exactly
+    zero weight, then inverted dropout, then ·v. The result [H, Σq, d/H] is
+    packed like the queries. Forward and backward apply matmul's, softmax's
+    and dropout's own rules to each segment, in segment order, so the
+    dropout draws and every float are those of the per-segment composition.
+    Each segment's [H x q x k] pre-dropout weights are appended to
+    `weights` when it is a list.
+    """
+    if not (queries.ndim == keys_t.ndim == values.ndim == 3) or (
+        queries.shape[::2] != keys_t.shape[:2] or keys_t.shape[::2] != values.shape[:2]
+    ):
+        raise ShapeError(
+            f"attention_core: queries {queries.shape}, keys_t {keys_t.shape} "
+            f"and values {values.shape} do not fit [H,q,e] / [H,e,k] / [H,k,e]"
+        )
+    parents = (queries, keys_t, values)
+    tracked = _tracked(parents)
+    out = np.zeros(
+        (queries.shape[0], queries.shape[1], values.shape[2]),
+        dtype=np.result_type(queries.data, keys_t.data, values.data),
+    )
+    saved = []  # (weights, keep mask, dropped weights) per segment, for backward
+    for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
+        scores = queries.data[:, qs:qe] @ keys_t.data[:, :, ks:ke]
+        if valid < ke - ks:
+            scores = scores + _key_mask(valid, ke - ks, scores.dtype)
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        w = e / np.sum(e, axis=-1, keepdims=True)
+        keep = _keep_mask(w.shape, w.dtype, p, rng, training)
+        dropped = w if keep is None else w * keep
+        out[:, qs:qe] = dropped @ values.data[:, ks:ke]
+        if tracked:
+            saved.append((w, keep, dropped))
+        if weights is not None:
+            weights.append(Tensor(w))
+
+    def backward(g):
+        gq, gk, gv = (
+            np.zeros_like(t.data) if t.requires_grad or t._parents else None
+            for t in parents
+        )
+        for (qs, qe, _), (ks, ke, _), (w, keep, dropped) in zip(
+            query_segs, key_segs, saved
+        ):
+            g_seg = g[:, qs:qe]
+            if gv is not None:
+                gv[:, ks:ke] = dropped.swapaxes(-1, -2) @ g_seg
+            if gq is None and gk is None:
+                continue
+            gw = g_seg @ values.data[:, ks:ke].swapaxes(-1, -2)
+            if keep is not None:
+                gw = gw * keep
+            gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True))
+            if gq is not None:
+                gq[:, qs:qe] = gs @ keys_t.data[:, :, ks:ke].swapaxes(-1, -2)
+            if gk is not None:
+                gk[:, :, ks:ke] = queries.data[:, qs:qe].swapaxes(-1, -2) @ gs
+        return gq, gk, gv
+
+    return _make(out, parents, backward)
 
 
 # -- shape and reduction ops --------------------------------------------------

@@ -37,6 +37,8 @@ STAT_NAMES = (
     "punctuation_count",
 )
 FEATURE_DIM = len(FIELD_ORDER) * len(STAT_NAMES)  # 32
+# Checkpoint entry names of the fitted scaler's mean and std.
+SCALER_ENTRIES = ("scaler.mean", "scaler.std")
 
 STOPWORDS_SHA256 = "73804769a098558757cde89333e47b2c9a39733b3540dc724d1bd981f49943b8"
 
@@ -143,13 +145,11 @@ class FeatureScaler:
 
     @classmethod
     def from_entries(cls, entries: dict) -> "FeatureScaler":
-        return cls(
-            mean=np.asarray(entries["scaler.mean"], dtype=np.float64),
-            std=np.asarray(entries["scaler.std"], dtype=np.float64),
-        )
+        mean, std = (np.asarray(entries[n], dtype=np.float64) for n in SCALER_ENTRIES)
+        return cls(mean=mean, std=std)
 
     def entries(self) -> dict[str, np.ndarray]:
-        return {"scaler.mean": self.mean, "scaler.std": self.std}
+        return dict(zip(SCALER_ENTRIES, (self.mean, self.std)))
 
 
 def extract_corpus(

@@ -13,8 +13,9 @@ mean-aggregated stream embeddings, concatenated downstream in that order.
 A whole batch fuses in one pass: each stream arrives as its samples' rows
 packed into one [sum(rows) x d] tensor plus the per-sample row counts.
 Everything position-wise (projections, feed-forward, layer norms, pooling)
-runs once on the packed rows; only the attention core runs per sample, on
-that sample's row ranges, so no padding or key mask is needed. A single
+runs once on the packed rows; only the attention core works per sample, on
+that sample's row ranges, so no padding or key mask is needed. That core is
+one autograd node per direction (autograd.attention_core). A single
 unpacked sample may instead be padded, with a_len/b_len/lengths marking its
 valid prefix; masked key positions then receive exactly zero attention.
 """
@@ -30,6 +31,7 @@ from .autograd import (
     ShapeError,
     Tensor,
     add,
+    attention_core,
     concat,
     dropout,
     getitem,
@@ -37,7 +39,6 @@ from .autograd import (
     matmul,
     relu,
     reshape,
-    softmax,
     transpose,
 )
 from .embedding import glorot_uniform
@@ -52,12 +53,6 @@ PAIRINGS = (
 )
 STREAM_ORDER = ("CT", "CI", "DT", "DI")
 AGGREGATIONS = ("mean", "mean_max_last")
-
-
-def _key_mask(length: int, total: int, dtype) -> np.ndarray:
-    mask = np.zeros((1, 1, total), dtype=dtype)
-    mask[..., length:] = -np.inf
-    return mask
 
 
 def _segments(
@@ -82,15 +77,6 @@ def _segments(
         )
     stops = np.cumsum(rows)
     return tuple((int(e - r), int(e), int(r)) for r, e in zip(rows, stops))
-
-
-def _narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of one axis; the tensor itself when that is all of it."""
-    if start == 0 and stop == x.shape[axis]:
-        return x
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, stop)
-    return getitem(x, tuple(idx))
 
 
 class CoAttentionBlock:
@@ -151,20 +137,14 @@ class CoAttentionBlock:
         key_segs: tuple,
         training: bool,
         rng: Optional[np.random.Generator],
-    ) -> tuple[Tensor, list]:
+        weights: Optional[list],
+    ) -> Tensor:
         """Per-sample attention over packed heads; contexts packed like the queries."""
-        contexts, weights = [], []
-        for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
-            scores = matmul(_narrow(queries, 1, qs, qe), _narrow(keys_t, 2, ks, ke))
-            if valid < ke - ks:
-                mask = _key_mask(valid, ke - ks, scores.dtype)
-                scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
-            w = softmax(scores, axis=-1)
-            dropped = dropout(w, self.dropout_rate, rng=rng, training=training)
-            contexts.append(matmul(dropped, _narrow(values, 1, ks, ke)))
-            weights.append(w)
-        context = contexts[0] if len(contexts) == 1 else concat(contexts, axis=1)
-        return self._merge_heads(context), weights
+        context = attention_core(
+            queries, keys_t, values, query_segs, key_segs,
+            self.dropout_rate, rng, training, weights,
+        )
+        return self._merge_heads(context)
 
     def _sublayers(
         self,
@@ -200,8 +180,8 @@ class CoAttentionBlock:
         attends only to sample i of b); without them a and b are one sample,
         and a_len/b_len mark the valid prefix when they are padded.
         return_weights appends the [heads x queries x keys] attention
-        weights of each direction: one tensor for a single sample, a
-        per-sample list for packed inputs.
+        weights of each direction, as constants: one tensor for a single
+        sample, a per-sample list for packed inputs.
         """
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != self.d or b.shape[1] != self.d:
             raise ShapeError(
@@ -217,8 +197,9 @@ class CoAttentionBlock:
             )
         qa, ka, va = self._project(a)
         qb, kb, vb = self._project(b)
-        ctx_ab, w_ab = self._attend(qa, kb, vb, segs_a, segs_b, training, rng)
-        ctx_ba, w_ba = self._attend(qb, ka, va, segs_b, segs_a, training, rng)
+        w_ab, w_ba = ([], []) if return_weights else (None, None)
+        ctx_ab = self._attend(qa, kb, vb, segs_a, segs_b, training, rng, w_ab)
+        ctx_ba = self._attend(qb, ka, va, segs_b, segs_a, training, rng, w_ba)
         out_ab = self._sublayers(a, ctx_ab, training, rng)
         out_ba = self._sublayers(b, ctx_ba, training, rng)
         if not return_weights:

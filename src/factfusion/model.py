@@ -24,7 +24,7 @@ from .classifier import ClassifierHead
 from .config import RunConfig
 from .data import LABELS
 from .embedding import BackboneTail, StreamEmbedder
-from .features import FEATURE_DIM
+from .features import FEATURE_DIM, SCALER_ENTRIES
 from .fusion import STREAM_ORDER, FusionStack
 from .tensor_io import read_checkpoint, write_checkpoint
 
@@ -154,7 +154,16 @@ class VerificationModel:
         write_checkpoint(path, entries)
 
     def load_state(self, entries: dict) -> None:
-        for name, param in self.parameters().items():
+        """Load every parameter; a checkpoint may also carry the feature scaler.
+
+        Any other entry (a stale or misspelt parameter name, say) raises
+        ValueError rather than being ignored.
+        """
+        params = self.parameters()
+        for name in entries:
+            if name not in params and name not in SCALER_ENTRIES:
+                raise ValueError(f"checkpoint has unexpected entry {name!r}")
+        for name, param in params.items():
             if name not in entries:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
             stored = np.asarray(entries[name])

@@ -92,7 +92,12 @@ def read_tensor_stream(f: BinaryIO) -> np.ndarray:
             f"truncated payload: shape {shape} needs {size} bytes, {left} left"
         )
     payload = _read_exact(f, size, "payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    try:
+        return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    except ValueError as err:
+        # A zero extent passes the size check even when the other extents
+        # multiply past what numpy can index.
+        raise FormatError(f"tensor shape {shape} is not representable ({err})") from None
 
 
 def write_tensor(path: PathLike, array) -> None:

@@ -11,6 +11,7 @@ from factfusion.autograd import (
     ShapeError,
     Tensor,
     add,
+    attention_core,
     clamp,
     concat,
     dropout,
@@ -292,6 +293,79 @@ class TestDropout:
         mask = out.data != 0
         np.testing.assert_allclose(x.grad[mask], 1.0 / 0.6, rtol=1e-6)
         assert (x.grad[~mask] == 0).all()
+
+
+def packed_segments(rows, valid=None):
+    """(start, stop, valid) per segment of rows packed end to end."""
+    stops = np.cumsum(rows)
+    valid = rows if valid is None else valid
+    return tuple((int(e - r), int(e), int(v)) for r, e, v in zip(rows, stops, valid))
+
+
+def attention_reference(queries, keys_t, values, query_segs, key_segs, p, rng, training):
+    """attention_core composed from primitive ops, one small graph per segment."""
+    contexts = []
+    for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
+        scores = matmul(getitem(queries, (slice(None), slice(qs, qe))),
+                        getitem(keys_t, (slice(None), slice(None), slice(ks, ke))))
+        if valid < ke - ks:
+            mask = np.zeros((1, 1, ke - ks), dtype=scores.dtype)
+            mask[..., valid:] = -np.inf
+            scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
+        w = softmax(scores, axis=-1)
+        dropped = dropout(w, p, rng=rng, training=training)
+        contexts.append(matmul(dropped, getitem(values, (slice(None), slice(ks, ke)))))
+    return concat(contexts, axis=1)
+
+
+class TestAttentionCore:
+    # Ragged packed segments with 1-row queries and keys, and one sample
+    # whose last two key rows are padding.
+    CASES = {
+        "ragged": ((1, 3, 5, 1), (2, 1, 4, 6), None),
+        "padded_single": ((4,), (5,), (3,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_primitive_composition_bitwise(self, case, training):
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        rng = np.random.default_rng(4)
+        heads, width = 2, 3
+        inputs = [
+            rng.standard_normal((heads, sum(q_rows), width)).astype(np.float32),
+            rng.standard_normal((heads, width, sum(k_rows))).astype(np.float32),
+            rng.standard_normal((heads, sum(k_rows), width)).astype(np.float32),
+        ]
+        readout = Tensor.constant(
+            rng.standard_normal((heads, sum(q_rows), width)).astype(np.float32)
+        )
+
+        def run(op):
+            q, k, v = (Tensor.param(x.copy()) for x in inputs)
+            out = op(q, k, v, q_segs, k_segs, 0.3, np.random.default_rng(9), training)
+            tensor_sum(out * readout).backward()
+            return out.data, q.grad, k.grad, v.grad
+
+        weights = []
+        got = run(lambda *args: attention_core(*args, weights=weights))
+        want = run(attention_reference)
+        for name, g, w in zip(("context", "dq", "dk_t", "dv"), got, want):
+            assert g.dtype == np.float32, name
+            assert np.array_equal(g, w), name
+        assert len(weights) == len(q_rows)
+        for w, (qs, qe, _), (ks, ke, v) in zip(weights, q_segs, k_segs):
+            assert w.shape == (heads, qe - qs, ke - ks)
+            assert np.all(w.data[..., v:] == 0.0)
+
+    def test_mismatched_shapes_raise(self):
+        q = Tensor.constant(np.zeros((2, 4, 3)))
+        k = Tensor.constant(np.zeros((2, 4, 5)))
+        v = Tensor.constant(np.zeros((2, 5, 3)))
+        segs = packed_segments((4,))
+        with pytest.raises(ShapeError, match="attention_core"):
+            attention_core(q, k, v, segs, packed_segments((5,)), 0.0, None, False)
 
 
 class TestReluTaps:

@@ -127,6 +127,38 @@ class TestDropoutPaths:
         assert not np.array_equal(out1.data, out3.data)
 
 
+def graph_size(*roots) -> int:
+    """Distinct tensors reachable from roots through autograd parent links."""
+    seen = {id(r) for r in roots}
+    stack = list(roots)
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestGraphSize:
+    @staticmethod
+    def nodes(n_samples):
+        b = block(dropout_rate=0.1)
+        rng = np.random.default_rng(n_samples)
+        a_rows = [int(r) for r in rng.integers(1, 6, n_samples)]
+        b_rows = [int(r) for r in rng.integers(1, 6, n_samples)]
+        a_seq, b_seq = (
+            Tensor.constant(rng.standard_normal((sum(rows), 8)).astype(np.float32))
+            for rows in (a_rows, b_rows)
+        )
+        out_ab, out_ba = b.co_attend(
+            a_seq, b_seq, training=True, rng=rng, a_rows=a_rows, b_rows=b_rows
+        )
+        return graph_size(out_ab, out_ba)
+
+    def test_node_count_does_not_grow_with_samples(self):
+        assert self.nodes(2) == self.nodes(7)
+
+
 class TestAggregate:
     def test_mean(self):
         x = Tensor.constant(np.array([[2.0, 4.0], [6.0, 8.0]], dtype=np.float32))

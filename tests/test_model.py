@@ -170,6 +170,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="missing parameter"):
             model.load_state(entries)
 
+    def test_unexpected_entry_rejected(self, tmp_path):
+        model = make_model()
+        path = tmp_path / "m.pcfc"
+        stale = model.parameters()["fusion.pair1.Wq"].data
+        model.save(
+            path,
+            extra_entries={"scaler.std": np.ones(3), "fusion.pair7.Wq": stale},
+        )
+        with pytest.raises(ValueError, match="unexpected entry 'fusion.pair7.Wq'"):
+            VerificationModel.from_checkpoint(path, model.config, BD)
+
     def test_shape_mismatch_rejected(self):
         model = make_model()
         entries = {n: t.data.copy() for n, t in model.parameters().items()}

@@ -136,6 +136,12 @@ class TestTensorErrors:
         with pytest.raises(FormatError, match="truncated payload"):
             read_tensor(path)
 
+    def test_unrepresentable_zero_size_shape_rejected(self, tmp_path):
+        path = tmp_path / "zero.pcft"
+        path.write_bytes(huge_header((0, 2**32 - 1, 2**32 - 1)))
+        with pytest.raises(FormatError, match="not representable"):
+            read_tensor(path)
+
     def test_excessive_rank_in_header(self, tmp_path):
         path = tmp_path / "rank.pcft"
         path.write_bytes(TENSOR_MAGIC + struct.pack("<B", 9))
@@ -274,3 +280,25 @@ class TestCheckpointTruncation:
             path.write_bytes(blob[:cut])
             with pytest.raises(FormatError):
                 read_checkpoint(path)
+
+
+class TestCheckpointBitFlips:
+    @settings(max_examples=10, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=2))
+    def test_every_bit_flip_loads_or_raises_format_error(self, tmp_path_factory, shapes):
+        entries = {
+            name: np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+            for name, shape in zip(("embed.W", "pé"), shapes)
+        }
+        path = tmp_path_factory.mktemp("flip") / "ckpt.pcfc"
+        write_checkpoint(path, entries)
+        blob = bytearray(path.read_bytes())
+        for offset in range(len(blob)):
+            for bit in range(8):
+                blob[offset] ^= 1 << bit
+                path.write_bytes(blob)
+                blob[offset] ^= 1 << bit
+                try:
+                    read_checkpoint(path)
+                except FormatError:
+                    pass
