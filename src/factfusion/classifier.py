@@ -7,7 +7,7 @@ contrastive term computed on the L2-normalised hidden representations:
 
     L = alpha * CE + (1 - alpha) * SCL
 
-alpha defaults to 1.0 (pure cross entropy); the contrastive preset uses 0.7.
+alpha defaults to 1.0 (pure cross entropy).
 """
 
 from __future__ import annotations

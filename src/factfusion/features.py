@@ -137,15 +137,28 @@ class FeatureScaler:
         return (np.log1p(raw) - self.mean) / self.std
 
     def save(self, path) -> None:
-        tensor_io.write_checkpoint(path, self.entries())
+        tensor_io.write_checkpoint(path, self.entries(), {})
 
     @classmethod
     def load(cls, path) -> "FeatureScaler":
-        return cls.from_entries(tensor_io.read_checkpoint(path))
+        entries, _ = tensor_io.read_checkpoint(path)
+        return cls.from_entries(entries)
 
     @classmethod
     def from_entries(cls, entries: dict) -> "FeatureScaler":
-        mean, std = (np.asarray(entries[n], dtype=np.float64) for n in SCALER_ENTRIES)
+        """The scaler held in checkpoint entries; ValueError names a bad entry."""
+        arrays = []
+        for name in SCALER_ENTRIES:
+            if name not in entries:
+                raise ValueError(f"checkpoint has no feature scaler entry {name!r}")
+            arr = np.asarray(entries[name], dtype=np.float64)
+            if arr.shape != (FEATURE_DIM,):
+                raise ValueError(
+                    f"scaler entry {name!r} has shape {arr.shape}, "
+                    f"expected ({FEATURE_DIM},)"
+                )
+            arrays.append(arr)
+        mean, std = arrays
         return cls(mean=mean, std=std)
 
     def entries(self) -> dict[str, np.ndarray]:

@@ -15,6 +15,8 @@ feature vector; without tail_text_streams it therefore has no tail at all.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,9 +26,9 @@ from .classifier import ClassifierHead
 from .config import RunConfig
 from .data import LABELS
 from .embedding import BackboneTail, StreamEmbedder
-from .features import FEATURE_DIM, SCALER_ENTRIES
+from .features import FEATURE_DIM, SCALER_ENTRIES, FeatureScaler
 from .fusion import STREAM_ORDER, FusionStack
-from .tensor_io import read_checkpoint, write_checkpoint
+from .tensor_io import FormatError, read_checkpoint, write_checkpoint
 
 TEXT_STREAMS = ("CT", "DT")
 IMAGE_STREAMS = ("CI", "DI")
@@ -147,22 +149,30 @@ class VerificationModel:
         groups.append({"params": rest, "lr": self.config.learning_rate})
         return groups
 
-    def save(self, path, extra_entries: Optional[dict] = None) -> None:
+    def save(self, path, scaler: Optional[FeatureScaler], meta: dict) -> None:
+        """One checkpoint with the parameters, the scaler's entries and metadata.
+
+        The metadata object is meta plus this model's resolved config under
+        "config", so the file alone rebuilds the model.
+        """
         entries = {name: t.data for name, t in self.parameters().items()}
-        if extra_entries:
-            entries.update(extra_entries)
-        write_checkpoint(path, entries)
+        if scaler is not None:
+            entries.update(scaler.entries())
+        write_checkpoint(path, entries, {**meta, "config": self.config.to_dict()})
 
     def load_state(self, entries: dict) -> None:
         """Load every parameter; a checkpoint may also carry the feature scaler.
 
-        Any other entry (a stale or misspelt parameter name, say) raises
-        ValueError rather than being ignored.
+        Every name and shape is checked before any parameter is assigned, so
+        a rejected checkpoint leaves the model as it was. Any other entry (a
+        stale or misspelt parameter name, say) raises ValueError rather than
+        being ignored.
         """
         params = self.parameters()
         for name in entries:
             if name not in params and name not in SCALER_ENTRIES:
                 raise ValueError(f"checkpoint has unexpected entry {name!r}")
+        loaded = {}
         for name, param in params.items():
             if name not in entries:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
@@ -172,14 +182,33 @@ class VerificationModel:
                     f"parameter {name!r}: checkpoint shape {stored.shape} does not "
                     f"match model shape {param.data.shape}"
                 )
-            param.data = stored.astype(param.data.dtype, copy=True)
+            loaded[name] = stored.astype(param.data.dtype, copy=True)
+        for name, param in params.items():
+            param.data = loaded[name]
 
     @classmethod
     def from_checkpoint(
-        cls, path, config: RunConfig, backbone_dim: int
-    ) -> tuple["VerificationModel", dict]:
-        """Rebuilt model plus the raw checkpoint entries (for scaler state)."""
-        entries = read_checkpoint(path)
-        model = cls(config, backbone_dim)
+        cls, path
+    ) -> tuple["VerificationModel", Optional[FeatureScaler], dict]:
+        """The saved model, its feature scaler (None if text-only) and metadata.
+
+        The metadata is what save was given, without the config. backbone_dim
+        is the row count of embed.CT.W, which every variant has. A version-1
+        checkpoint carries no metadata: its config comes from the .meta.json
+        file beside it.
+        """
+        entries, meta = read_checkpoint(path)
+        if meta is None:
+            meta = json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
+            meta.pop("backbone_dim", None)
+        try:
+            config = RunConfig(**meta.pop("config"))
+        except (KeyError, TypeError) as err:
+            raise FormatError(f"{path}: no valid config in the metadata ({err})") from None
+        embed = entries.get("embed.CT.W")
+        if embed is None or embed.ndim != 2:
+            raise ValueError(f"{path}: no [backbone_dim x d] parameter 'embed.CT.W'")
+        model = cls(config, embed.shape[0])
         model.load_state(entries)
-        return model, entries
+        scaler = FeatureScaler.from_entries(entries) if model.use_features else None
+        return model, scaler, meta

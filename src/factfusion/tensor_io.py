@@ -1,23 +1,30 @@
 """Binary tensor and checkpoint files.
 
 Single-tensor format: magic b"PCFT", rank as uint8, one little-endian uint32
-per extent, then the row-major float32 payload (little-endian). Checkpoints
-wrap a sequence of named tensors: magic b"PCFC", uint8 version, uint32 entry
-count, then per entry a uint16 name length, the UTF-8 name, and a PCFT block.
-Readers reject short reads, payloads larger than the bytes left in the
-file, bytes after the last block and repeated entry names with FormatError.
-Checkpoints are written to a temp file that then replaces the target.
+per extent, then the row-major float32 payload (little-endian).
+
+Checkpoints (version 2) hold a metadata object and a sequence of named
+tensors: magic b"PCFC", uint8 version, a uint32 length and that many bytes
+of UTF-8 JSON holding one object, a uint32 entry count, then per entry a
+uint16 name length, the UTF-8 name, and a PCFT block. Version 1 files lack
+the metadata length and JSON; they are still read, with metadata None.
+
+Readers reject short reads, payloads or metadata longer than the bytes left
+in the file, bytes after the last block, repeated entry names and metadata
+that is not a UTF-8 JSON object with FormatError. Checkpoints are written
+to a temp file that then replaces the target.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import struct
 from pathlib import Path
-from typing import IO, BinaryIO, Iterator, Mapping, Union
+from typing import BinaryIO, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .autograd import MAX_RANK, Tensor
 
 TENSOR_MAGIC = b"PCFT"
 CHECKPOINT_MAGIC = b"PCFC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -61,6 +68,15 @@ def _bytes_left(f: BinaryIO) -> int:
     return end - pos
 
 
+def _read_sized(f: BinaryIO, size: int, what: str) -> bytes:
+    # Checked before reading, so a corrupt size cannot make the reader
+    # allocate it.
+    left = _bytes_left(f)
+    if size > left:
+        raise FormatError(f"truncated {what}: needs {size} bytes, {left} left")
+    return _read_exact(f, size, what)
+
+
 def _check_end(f: BinaryIO) -> None:
     if f.read(1):
         raise FormatError("trailing bytes after the last block")
@@ -83,15 +99,7 @@ def read_tensor_stream(f: BinaryIO) -> np.ndarray:
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds maximum {MAX_RANK}")
     shape = _unpack(f, f"<{rank}I", "tensor shape")
-    # Checked before reading, so a corrupt extent cannot make the reader
-    # allocate the declared size.
-    size = 4 * math.prod(shape)
-    left = _bytes_left(f)
-    if size > left:
-        raise FormatError(
-            f"truncated payload: shape {shape} needs {size} bytes, {left} left"
-        )
-    payload = _read_exact(f, size, "payload")
+    payload = _read_sized(f, 4 * math.prod(shape), f"payload of shape {shape}")
     try:
         return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     except ValueError as err:
@@ -119,15 +127,15 @@ def tensor_bytes(array) -> bytes:
 
 
 @contextlib.contextmanager
-def atomic_writer(path: PathLike, mode: str = "wb", **open_kwargs) -> Iterator[IO]:
-    """Open a temp file beside path that replaces path once fully written.
+def atomic_writer(path: PathLike) -> Iterator[BinaryIO]:
+    """Open a binary temp file beside path that replaces path once fully written.
 
     A write that raises leaves path as it was and removes the temp file, so a
     crash never leaves a truncated file under the final name.
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, **open_kwargs) as f:
+        with open(tmp, "wb") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -136,10 +144,15 @@ def atomic_writer(path: PathLike, mode: str = "wb", **open_kwargs) -> Iterator[I
         raise
 
 
-def write_checkpoint(path: PathLike, entries: Mapping[str, object]) -> None:
+def write_checkpoint(
+    path: PathLike, entries: Mapping[str, object], meta: Mapping[str, object]
+) -> None:
+    """Write a version-2 checkpoint: the JSON object meta, then the entries."""
+    blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     with atomic_writer(path) as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<B", CHECKPOINT_VERSION))
+        f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(blob)))
+        f.write(blob)
         f.write(struct.pack("<I", len(entries)))
         for name, array in entries.items():
             encoded = name.encode("utf-8")
@@ -148,14 +161,32 @@ def write_checkpoint(path: PathLike, entries: Mapping[str, object]) -> None:
             write_tensor_stream(f, array)
 
 
-def read_checkpoint(path: PathLike) -> dict[str, np.ndarray]:
+def _read_meta(f: BinaryIO) -> dict:
+    (size,) = _unpack(f, "<I", "metadata length")
+    raw = _read_sized(f, size, "metadata")
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise FormatError(f"metadata is not UTF-8 ({err})") from None
+    except ValueError as err:
+        raise FormatError(f"metadata is not valid JSON ({err})") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"metadata is a JSON {type(meta).__name__}, not an object")
+    return meta
+
+
+def read_checkpoint(
+    path: PathLike,
+) -> tuple[dict[str, np.ndarray], Optional[dict]]:
+    """The named entries and the metadata object (None for a version-1 file)."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         (version,) = _unpack(f, "<B", "checkpoint version")
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise FormatError(f"unsupported checkpoint version {version}")
+        meta = _read_meta(f) if version == CHECKPOINT_VERSION else None
         (count,) = _unpack(f, "<I", "entry count")
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -169,4 +200,4 @@ def read_checkpoint(path: PathLike) -> dict[str, np.ndarray]:
                 raise FormatError(f"duplicate entry name {name!r}")
             entries[name] = read_tensor_stream(f)
         _check_end(f)
-        return entries
+        return entries, meta

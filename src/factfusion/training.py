@@ -5,7 +5,7 @@ only the chunk order is reshuffled each epoch, with the run seed. Two
 optimizer groups run at different rates: the backbone tail at
 tail_learning_rate, everything else at learning_rate. Per-step loss
 components are appended to a JSON-lines log, and the checkpoint with the best
-validation weighted F1 is kept.
+validation weighted F1 is kept, as one self-describing checkpoint file.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .features import FeatureScaler, extract_corpus
 from .metrics import confusion_matrix, weighted_f1
 from .model import VerificationModel
 from .optim import Adam
-from .tensor_io import atomic_writer
 
 ManifestLike = Union[str, Path, DatasetManifest]
 
@@ -177,9 +176,7 @@ def train(
             if f1 > best_f1:
                 best_f1, best_epoch = f1, epoch
                 best_probs = val_probs
-                extra = scaler.entries() if scaler is not None else None
-                model.save(ckpt_path, extra_entries=extra)
-                _write_meta(ckpt_path, config, backbone_dim, best_epoch, best_f1)
+                model.save(ckpt_path, scaler, _write_meta(best_epoch, best_f1))
 
     matrix = ProbMatrix(
         model_id=model_id,
@@ -197,17 +194,9 @@ def train(
     )
 
 
-def _write_meta(
-    ckpt_path: Path, config: RunConfig, backbone_dim: int, epoch: int, f1: float
-) -> None:
-    meta = {
-        "config": config.to_dict(),
-        "backbone_dim": backbone_dim,
-        "best_epoch": epoch,
-        "best_f1": f1,
-    }
-    with atomic_writer(str(ckpt_path) + ".meta.json", "w", encoding="utf-8") as f:
-        f.write(json.dumps(meta, indent=2) + "\n")
+def _write_meta(epoch: int, f1: float) -> dict:
+    """The checkpoint metadata of a best epoch; model.save adds the config."""
+    return {"best_epoch": epoch, "best_f1": f1}
 
 
 def evaluate(
@@ -218,25 +207,17 @@ def evaluate(
     ckpt = Path(checkpoint)
     if not ckpt.is_file():
         raise FileNotFoundError(f"missing checkpoint file {ckpt}")
-    meta_path = Path(str(ckpt) + ".meta.json")
-    if not meta_path.is_file():
-        raise FileNotFoundError(f"missing checkpoint metadata {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    config = RunConfig(**meta["config"])
-    model, entries = VerificationModel.from_checkpoint(
-        ckpt, config, meta["backbone_dim"]
-    )
+    model, scaler, _ = VerificationModel.from_checkpoint(ckpt)
 
     man = _resolve(manifest)
-    data = list(ingest(man, config.max_seq_len))
+    data = list(ingest(man, model.config.max_seq_len))
     if not data:
         raise ValueError("cannot evaluate an empty manifest")
     feats = None
-    if not config.text_only:
-        scaler = FeatureScaler.from_entries(entries)
+    if scaler is not None:
         feats = extract_corpus(man.records, scaler).astype(np.float32)
 
-    probs = _predict_probs(model, data, feats, config.batch_size)
+    probs = _predict_probs(model, data, feats, model.config.batch_size)
     matrix = ProbMatrix(
         model_id=model_id or ckpt.stem,
         sample_ids=man.sample_ids(),

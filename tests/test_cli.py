@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from factfusion.cli import entrypoint
+from factfusion.config import RunConfig
 from factfusion.data import DatasetManifest, RawSample, write_manifest
 from factfusion.ensemble import EnsembleSpec, ProbMatrix
+from factfusion.model import VerificationModel
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,20 @@ class TestFeatureCommand:
         assert (tmp_path / "scaled2.csv").read_text() == (
             tmp_path / "scaled.csv"
         ).read_text()
+
+
+    def test_scaler_in_without_scaler_entries(self, capsys, tmp_path):
+        run_cli(capsys, "synth", "--n-per-class", "1", "--backbone-dim", "8",
+                "--seed", "3", "--out-dir", str(tmp_path))
+        model = VerificationModel(RunConfig(d=8, heads=2, text_only=True), 8)
+        model.save(tmp_path / "text_only.pcfc", None, {})
+        code, _, err = run_cli(
+            capsys, "extract-features", "--manifest", str(tmp_path / "train.jsonl"),
+            "--out", str(tmp_path / "scaled.csv"),
+            "--scaler-in", str(tmp_path / "text_only.pcfc"),
+        )
+        assert code == 1
+        assert err == "error: checkpoint has no feature scaler entry 'scaler.mean'\n"
 
 
 class TestTrainEvaluateFlow:

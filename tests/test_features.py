@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from importlib import resources as importlib_resources
 from types import SimpleNamespace
 
@@ -260,6 +261,22 @@ class TestScaler:
         # On-disk format is float32, so compare at that precision.
         np.testing.assert_allclose(back.mean, scaler.mean, rtol=1e-6)
         np.testing.assert_allclose(back.std, scaler.std, rtol=1e-6)
+
+    @pytest.mark.parametrize("missing", ["scaler.mean", "scaler.std"])
+    def test_from_entries_names_a_missing_entry(self, missing):
+        entries = {"scaler.mean": np.zeros(FEATURE_DIM), "scaler.std": np.ones(FEATURE_DIM)}
+        del entries[missing]
+        with pytest.raises(ValueError, match=f"no feature scaler entry '{missing}'"):
+            FeatureScaler.from_entries(entries)
+
+    @pytest.mark.parametrize(
+        "name, shape", [("scaler.mean", (3,)), ("scaler.std", (FEATURE_DIM, 1)), ("scaler.std", ())]
+    )
+    def test_from_entries_names_a_misshapen_entry(self, name, shape):
+        entries = {"scaler.mean": np.zeros(FEATURE_DIM), "scaler.std": np.ones(FEATURE_DIM)}
+        entries[name] = np.ones(shape)
+        with pytest.raises(ValueError, match=re.escape(f"{name!r} has shape {shape}")):
+            FeatureScaler.from_entries(entries)
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -5,8 +5,9 @@ import pytest
 
 from factfusion.autograd import ShapeError, Tensor, concat, reshape
 from factfusion.config import RunConfig
-from factfusion.features import FEATURE_DIM
+from factfusion.features import FEATURE_DIM, FeatureScaler
 from factfusion.model import IMAGE_STREAMS, TEXT_STREAMS, VerificationModel
+from factfusion.tensor_io import FormatError, read_checkpoint, write_checkpoint
 
 BD = 8
 TINY = dict(d=16, heads=2, ff_inner=32, d_m=8, max_seq_len=16, dropout=0.0)
@@ -150,17 +151,66 @@ class TestParameterGroups:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = make_model()
+        model = make_model(adapter_scope="all", aggregation="mean_max_last")
         batch, feats = fake_batch(model)
         before, _ = model.forward_batch(batch, feats)
+        scaler = FeatureScaler(mean=np.arange(32.0), std=np.full(32, 2.0))
         path = tmp_path / "m.pcfc"
-        model.save(path, extra_entries={"scaler.mean": np.zeros(3)})
-        rebuilt, entries = VerificationModel.from_checkpoint(
-            path, model.config, BD
-        )
+        model.save(path, scaler, {"best_epoch": 4, "best_f1": 0.5})
+        rebuilt, back, meta = VerificationModel.from_checkpoint(path)
         after, _ = rebuilt.forward_batch(batch, feats)
         np.testing.assert_array_equal(before.data, after.data)
-        assert "scaler.mean" in entries
+        assert rebuilt.config == model.config
+        assert rebuilt.backbone_dim == BD
+        np.testing.assert_array_equal(back.mean, scaler.mean)
+        np.testing.assert_array_equal(back.std, scaler.std)
+        assert meta == {"best_epoch": 4, "best_f1": 0.5}
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pcfc"]
+
+    def test_header_holds_the_resolved_config(self, tmp_path):
+        model = make_model()
+        path = tmp_path / "m.pcfc"
+        model.save(path, None, {"config": {"d": 999}, "best_epoch": 1})
+        entries, meta = read_checkpoint(path)
+        assert meta == {"config": model.config.to_dict(), "best_epoch": 1}
+        assert set(entries) == set(model.parameters())
+
+    def test_text_only_round_trip_has_no_scaler(self, tmp_path):
+        model = make_model(text_only=True)
+        path = tmp_path / "m.pcfc"
+        model.save(path, None, {})
+        rebuilt, scaler, meta = VerificationModel.from_checkpoint(path)
+        assert rebuilt.config.text_only and scaler is None and meta == {}
+
+    def test_missing_scaler_rejected(self, tmp_path):
+        model = make_model()
+        path = tmp_path / "m.pcfc"
+        model.save(path, None, {})
+        with pytest.raises(ValueError, match="scaler entry 'scaler.mean'"):
+            VerificationModel.from_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta", [{}, {"config": [1, 2]}, {"config": {"d": 16, "depth": 3}}]
+    )
+    def test_metadata_without_valid_config_rejected(self, tmp_path, meta):
+        model = make_model(text_only=True)
+        path = tmp_path / "m.pcfc"
+        entries = {n: t.data for n, t in model.parameters().items()}
+        write_checkpoint(path, entries, meta)
+        with pytest.raises(FormatError, match="no valid config"):
+            VerificationModel.from_checkpoint(path)
+
+    @pytest.mark.parametrize("embed", [None, np.zeros(BD, dtype=np.float32)])
+    def test_backbone_dim_needs_a_2d_claim_text_embedding(self, tmp_path, embed):
+        model = make_model(text_only=True)
+        path = tmp_path / "m.pcfc"
+        entries = {n: t.data for n, t in model.parameters().items()}
+        entries["embed.CT.W"] = embed
+        if embed is None:
+            del entries["embed.CT.W"]
+        write_checkpoint(path, entries, {"config": model.config.to_dict()})
+        with pytest.raises(ValueError, match="'embed.CT.W'"):
+            VerificationModel.from_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = make_model()
@@ -171,15 +221,13 @@ class TestCheckpoint:
             model.load_state(entries)
 
     def test_unexpected_entry_rejected(self, tmp_path):
-        model = make_model()
+        model = make_model(text_only=True)
         path = tmp_path / "m.pcfc"
-        stale = model.parameters()["fusion.pair1.Wq"].data
-        model.save(
-            path,
-            extra_entries={"scaler.std": np.ones(3), "fusion.pair7.Wq": stale},
-        )
+        entries = {n: t.data for n, t in model.parameters().items()}
+        entries["fusion.pair7.Wq"] = entries["embed.CT.W"]
+        write_checkpoint(path, entries, {"config": model.config.to_dict()})
         with pytest.raises(ValueError, match="unexpected entry 'fusion.pair7.Wq'"):
-            VerificationModel.from_checkpoint(path, model.config, BD)
+            VerificationModel.from_checkpoint(path)
 
     def test_shape_mismatch_rejected(self):
         model = make_model()
@@ -188,6 +236,19 @@ class TestCheckpoint:
         entries[name] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ShapeError, match=name.split(".")[0]):
             model.load_state(entries)
+
+    def test_rejected_load_leaves_every_parameter_untouched(self):
+        model = make_model()
+        params = model.parameters()
+        old = {n: t.data.copy() for n, t in params.items()}
+        entries = {n: t.data + 1 for n, t in params.items()}
+        last = list(entries)[-1]
+        assert last == "head.Wz2"
+        entries[last] = np.zeros((2, 2), dtype=np.float32)
+        with pytest.raises(ShapeError, match="head.Wz2"):
+            model.load_state(entries)
+        for name, param in model.parameters().items():
+            np.testing.assert_array_equal(param.data, old[name], err_msg=name)
 
 
 def per_sample_reference(model, batch, feats):

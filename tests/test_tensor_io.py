@@ -23,9 +23,36 @@ from factfusion.tensor_io import (
 )
 
 
+META = {"config": {"d": 4, "out_dir": "runs/é"}, "best_epoch": 2, "best_f1": 0.5}
+
+
 def huge_header(shape) -> bytes:
     """A PCFT header declaring `shape`, without its payload."""
     return TENSOR_MAGIC + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
+def v1_blob(*entries: bytes) -> bytes:
+    """A version-1 checkpoint (no metadata block) holding the given entries."""
+    return CHECKPOINT_MAGIC + struct.pack("<BI", 1, len(entries)) + b"".join(entries)
+
+
+def v2_blob(meta_bytes: bytes) -> bytes:
+    """A version-2 checkpoint with the given metadata bytes and no entries."""
+    return (
+        CHECKPOINT_MAGIC + struct.pack("<BI", 2, len(meta_bytes)) + meta_bytes
+        + struct.pack("<I", 0)
+    )
+
+
+def named(name: bytes, array) -> bytes:
+    return struct.pack("<H", len(name)) + name + tensor_bytes(array)
+
+
+# Metadata for the fuzz tests: always some non-ASCII text, plus a few
+# arbitrary string keys and values.
+fuzz_meta = st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2).map(
+    lambda extra: {**extra, "tag": "ü✓"}
+)
 
 
 class TestTensorLayout:
@@ -158,38 +185,50 @@ class TestCheckpoint:
             "head.Wz2": rng.standard_normal((3, 5)).astype(np.float32),
         }
         path = tmp_path / "ckpt.pcfc"
-        write_checkpoint(path, entries)
-        back = read_checkpoint(path)
+        write_checkpoint(path, entries, META)
+        back, meta = read_checkpoint(path)
         assert list(back.keys()) == list(entries.keys())
         for name, arr in entries.items():
             np.testing.assert_array_equal(back[name], arr)
+        assert meta == META
 
     def test_accepts_tensor_values(self, tmp_path):
         path = tmp_path / "ckpt.pcfc"
-        write_checkpoint(path, {"w": Tensor.param([[1.0, 2.0]])})
-        back = read_checkpoint(path)
+        write_checkpoint(path, {"w": Tensor.param([[1.0, 2.0]])}, {})
+        back, _ = read_checkpoint(path)
         np.testing.assert_array_equal(back["w"], [[1.0, 2.0]])
 
     def test_empty_checkpoint(self, tmp_path):
         path = tmp_path / "empty.pcfc"
-        write_checkpoint(path, {})
-        assert read_checkpoint(path) == {}
+        write_checkpoint(path, {}, {})
+        assert read_checkpoint(path) == ({}, {})
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "one.pcfc"
-        write_checkpoint(path, {"ab": np.zeros(1, dtype=np.float32)})
+        write_checkpoint(path, {"ab": np.zeros(1, dtype=np.float32)}, {"é": 1})
         blob = path.read_bytes()
+        meta = '{"é": 1}'.encode("utf-8")
         assert blob[:4] == CHECKPOINT_MAGIC
-        assert blob[4] == 1  # version
-        assert struct.unpack("<I", blob[5:9])[0] == 1  # entry count
-        assert struct.unpack("<H", blob[9:11])[0] == 2  # name length
-        assert blob[11:13] == b"ab"
-        assert blob[13:17] == TENSOR_MAGIC
+        assert blob[4] == 2  # version
+        assert struct.unpack("<I", blob[5:9])[0] == len(meta) == 9
+        assert blob[9:18] == meta
+        assert struct.unpack("<I", blob[18:22])[0] == 1  # entry count
+        assert struct.unpack("<H", blob[22:24])[0] == 2  # name length
+        assert blob[24:26] == b"ab"
+        assert blob[26:30] == TENSOR_MAGIC
+
+    def test_reads_version_1_without_metadata(self, tmp_path):
+        path = tmp_path / "v1.pcfc"
+        path.write_bytes(v1_blob(named(b"w", np.ones(2)), named(b"b", np.zeros(1))))
+        entries, meta = read_checkpoint(path)
+        assert meta is None
+        assert list(entries) == ["w", "b"]
+        np.testing.assert_array_equal(entries["w"], np.ones(2))
 
     def test_unicode_names(self, tmp_path):
         path = tmp_path / "u.pcfc"
-        write_checkpoint(path, {"pé": np.ones(2, dtype=np.float32)})
-        assert "pé" in read_checkpoint(path)
+        write_checkpoint(path, {"pé": np.ones(2, dtype=np.float32)}, {})
+        assert "pé" in read_checkpoint(path)[0]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pcfc"
@@ -198,24 +237,22 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "v2.pcfc"
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<B", 2) + struct.pack("<I", 0))
-        with pytest.raises(FormatError, match="version"):
+        path = tmp_path / "v3.pcfc"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<BI", 3, 0))
+        with pytest.raises(FormatError, match="version 3"):
             read_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "ckpt.pcfc"
-        write_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+        write_checkpoint(path, {"w": np.ones(2, dtype=np.float32)}, META)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             read_checkpoint(path)
 
     def test_duplicate_entry_name_rejected(self, tmp_path):
-        entry = struct.pack("<H", 1) + b"w" + tensor_bytes(np.ones(1))
+        entry = named(b"w", np.ones(1))
         path = tmp_path / "dup.pcfc"
-        path.write_bytes(
-            CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 2) + entry * 2
-        )
+        path.write_bytes(v1_blob(entry, entry))
         with pytest.raises(FormatError, match="duplicate"):
             read_checkpoint(path)
 
@@ -223,59 +260,101 @@ class TestCheckpoint:
     def test_oversized_extent_rejected_before_reading(self, tmp_path, shape):
         path = tmp_path / "huge.pcfc"
         path.write_bytes(
-            CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 1)
-            + struct.pack("<H", 1) + b"w" + huge_header(shape) + b"\x00" * 16
+            v1_blob(struct.pack("<H", 1) + b"w" + huge_header(shape) + b"\x00" * 16)
         )
         with pytest.raises(FormatError, match="truncated payload"):
             read_checkpoint(path)
 
     def test_non_utf8_name_rejected(self, tmp_path):
         path = tmp_path / "name.pcfc"
-        path.write_bytes(
-            CHECKPOINT_MAGIC + struct.pack("<B", 1) + struct.pack("<I", 1)
-            + struct.pack("<H", 1) + b"\xff" + tensor_bytes(np.ones(1))
-        )
+        path.write_bytes(v1_blob(named(b"\xff", np.ones(1))))
         with pytest.raises(FormatError, match="UTF-8"):
             read_checkpoint(path)
 
+
+class TestCheckpointMetadata:
+    def test_non_ascii_round_trip(self, tmp_path):
+        meta = {"config": {"out_dir": "runs/naïve ✓"}, "ключ": ["日本", 1.5, None]}
+        path = tmp_path / "m.pcfc"
+        write_checkpoint(path, {}, meta)
+        assert read_checkpoint(path)[1] == meta
+
+    def test_float_round_trip_is_exact(self, tmp_path):
+        path = tmp_path / "m.pcfc"
+        write_checkpoint(path, {}, {"best_f1": 0.27999999999999997})
+        assert read_checkpoint(path)[1]["best_f1"] == 0.27999999999999997
+
+    def test_oversized_length_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.pcfc"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<BI", 2, 2**32 - 1) + b"{}")
+        with pytest.raises(FormatError, match="truncated metadata: needs 4294967295"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (b'{"a": "\xff"}', "not UTF-8"),
+            (b'{"a": ', "not valid JSON"),
+            (b"", "not valid JSON"),
+            (b"[1, 2]", "JSON list, not an object"),
+            (b'"text"', "JSON str, not an object"),
+            (b"null", "JSON NoneType, not an object"),
+        ],
+    )
+    def test_malformed_metadata_rejected(self, tmp_path, raw, match):
+        path = tmp_path / "bad.pcfc"
+        path.write_bytes(v2_blob(raw))
+        with pytest.raises(FormatError, match=match):
+            read_checkpoint(path)
 
 
 class TestAtomicWrites:
     def test_failed_checkpoint_write_keeps_previous(self, tmp_path):
         path = tmp_path / "best.pcfc"
-        write_checkpoint(path, {"a": np.ones((2, 2))})
+        write_checkpoint(path, {"a": np.ones((2, 2))}, {"epoch": 1})
         # The second entry is rejected after the first has been written.
         with pytest.raises(FormatError, match="rank"):
             write_checkpoint(
-                path, {"a": np.zeros((2, 2)), "b": np.zeros((1,) * (MAX_RANK + 1))}
+                path,
+                {"a": np.zeros((2, 2)), "b": np.zeros((1,) * (MAX_RANK + 1))},
+                {"epoch": 2},
             )
-        np.testing.assert_array_equal(read_checkpoint(path)["a"], np.ones((2, 2)))
+        entries, meta = read_checkpoint(path)
+        np.testing.assert_array_equal(entries["a"], np.ones((2, 2)))
+        assert meta == {"epoch": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["best.pcfc"]
 
-    def test_failed_text_write_keeps_previous(self, tmp_path):
-        path = tmp_path / "best.pcfc.meta.json"
-        path.write_text("old\n")
+    def test_interrupted_writer_keeps_previous(self, tmp_path):
+        path = tmp_path / "best.pcfc"
+        path.write_bytes(b"old")
         with pytest.raises(RuntimeError):
-            with atomic_writer(path, "w", encoding="utf-8") as f:
-                f.write("half")
+            with atomic_writer(path) as f:
+                f.write(b"half")
                 raise RuntimeError("interrupted")
-        assert path.read_text() == "old\n"
+        assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestCheckpointTruncation:
     @settings(max_examples=20, deadline=None)
-    @given(shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3))
-    def test_every_truncation_raises_format_error(self, tmp_path_factory, shapes):
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3),
+        meta=st.one_of(st.none(), fuzz_meta),
+    )
+    def test_every_truncation_raises_format_error(self, tmp_path_factory, shapes, meta):
         names = ("embed.W", "pé", "head.b")
         entries = {
             name: np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
             for name, shape in zip(names, shapes)
         }
         path = tmp_path_factory.mktemp("cut") / "ckpt.pcfc"
-        write_checkpoint(path, entries)
+        if meta is None:
+            path.write_bytes(v1_blob(*(named(n.encode(), a) for n, a in entries.items())))
+        else:
+            write_checkpoint(path, entries, meta)
         blob = path.read_bytes()
-        assert list(read_checkpoint(path)) == list(entries)
+        back, back_meta = read_checkpoint(path)
+        assert list(back) == list(entries) and back_meta == meta
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(FormatError):
@@ -284,14 +363,19 @@ class TestCheckpointTruncation:
 
 class TestCheckpointBitFlips:
     @settings(max_examples=10, deadline=None)
-    @given(shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=2))
-    def test_every_bit_flip_loads_or_raises_format_error(self, tmp_path_factory, shapes):
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=2),
+        meta=fuzz_meta,
+    )
+    def test_every_bit_flip_loads_or_raises_format_error(
+        self, tmp_path_factory, shapes, meta
+    ):
         entries = {
             name: np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
             for name, shape in zip(("embed.W", "pé"), shapes)
         }
         path = tmp_path_factory.mktemp("flip") / "ckpt.pcfc"
-        write_checkpoint(path, entries)
+        write_checkpoint(path, entries, meta)
         blob = bytearray(path.read_bytes())
         for offset in range(len(blob)):
             for bit in range(8):

@@ -1,16 +1,22 @@
 """Training loop, checkpoint round trips and evaluation."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from factfusion import tensor_io
 from factfusion.autograd import Tensor
 from factfusion.config import RunConfig
 from factfusion.data import ingest, synthesize
-from factfusion.features import FeatureScaler, extract_corpus
+from factfusion.features import extract_corpus
 from factfusion.model import VerificationModel
+from factfusion.tensor_io import read_checkpoint
 from factfusion.training import evaluate, train
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TINY = dict(
     d=16,
@@ -45,11 +51,35 @@ def run(dataset, tmp_path_factory):
 class TestTrain:
     def test_artifacts_written(self, run):
         _, out, result = run
-        assert (out / "checkpoint.pcfc").is_file()
-        assert (out / "checkpoint.pcfc.meta.json").is_file()
-        assert (out / "val_probs.csv").is_file()
-        assert (out / "train_log.jsonl").is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.pcfc", "train_log.jsonl", "val_probs.csv"
+        ]
         assert result.checkpoint == str(out / "checkpoint.pcfc")
+
+    def test_checkpoint_metadata(self, run):
+        cfg, _, result = run
+        _, meta = read_checkpoint(result.checkpoint)
+        assert meta == {
+            "best_epoch": result.best_epoch,
+            "best_f1": result.best_f1,
+            "config": cfg.to_dict(),
+        }
+
+    def test_each_save_is_one_rename(self, dataset, tmp_path, monkeypatch):
+        train_man, val_man = dataset
+        renames = []
+
+        def recording(src, dst):
+            renames.append(Path(dst).name)
+            os.rename(src, dst)
+
+        monkeypatch.setattr(tensor_io.os, "replace", recording)
+        result = train(RunConfig(**TINY), train_man, val_man, run_dir=tmp_path)
+        best, saves = -1.0, 0
+        for h in result.history:
+            if h["val_f1"] > best:
+                best, saves = h["val_f1"], saves + 1
+        assert saves >= 1 and renames == ["checkpoint.pcfc"] * saves
 
     def test_history_and_best(self, run):
         _, _, result = run
@@ -146,10 +176,10 @@ class TestEvaluate:
         for out in seen:
             assert out._parents == () and not out.requires_grad
 
-        model, entries = VerificationModel.from_checkpoint(result.checkpoint, cfg, 8)
+        model, scaler, _ = VerificationModel.from_checkpoint(result.checkpoint)
         data = list(ingest(val_man, cfg.max_seq_len))
         batch = [{s: Tensor.constant(a) for s, a in arrays.items()} for _, arrays in data]
-        feats = extract_corpus(val_man.records, FeatureScaler.from_entries(entries))
+        feats = extract_corpus(val_man.records, scaler)
         probs, _ = forward(model, batch, feats.astype(np.float32), training=False)
         np.testing.assert_allclose(ev.prob_matrix.probs, probs.data, rtol=0, atol=1e-6)
 
@@ -192,6 +222,54 @@ class TestEvaluate:
         assert ev.prob_matrix.model_id == "checkpoint"
         named = evaluate(result.checkpoint, val_man, model_id="alpha")
         assert named.prob_matrix.model_id == "alpha"
+
+
+class TestVersion1Fixture:
+    """A version-1 checkpoint and its .meta.json sidecar, written before the
+    metadata moved into the checkpoint header (d=4, 1 head, backbone 4)."""
+
+    path = FIXTURES / "v1_checkpoint.pcfc"
+
+    def test_loads_as_saved(self):
+        entries, meta = read_checkpoint(self.path)
+        assert meta is None
+        sidecar = json.loads(Path(f"{self.path}.meta.json").read_text(encoding="utf-8"))
+        model, scaler, record = VerificationModel.from_checkpoint(self.path)
+        assert model.config == RunConfig(**sidecar["config"])
+        assert model.backbone_dim == sidecar["backbone_dim"] == 4
+        assert record == {"best_epoch": 2, "best_f1": sidecar["best_f1"]}
+        params = model.parameters()
+        assert set(params) | {"scaler.mean", "scaler.std"} == set(entries)
+        for name, param in params.items():
+            assert param.data.dtype == np.float32
+            assert param.data.tobytes() == entries[name].tobytes(), name
+        assert scaler.mean.tobytes() == entries["scaler.mean"].astype(np.float64).tobytes()
+        assert scaler.std.tobytes() == entries["scaler.std"].astype(np.float64).tobytes()
+
+    def test_evaluates(self, tmp_path):
+        man = synthesize(2, 4, 5, tmp_path, "val")
+        ev = evaluate(self.path, man)
+        assert ev.prob_matrix.probs.shape == (len(man.records), 5)
+        np.testing.assert_allclose(ev.prob_matrix.probs.sum(axis=1), 1.0, atol=1e-5)
+        assert 0.0 <= ev.f1 <= 1.0
+
+    def test_resaves_as_one_version_2_file(self, tmp_path):
+        model, scaler, record = VerificationModel.from_checkpoint(self.path)
+        path = tmp_path / "v2.pcfc"
+        model.save(path, scaler, record)
+        assert [p.name for p in tmp_path.iterdir()] == ["v2.pcfc"]
+        assert path.read_bytes()[4] == 2
+        again, scaler2, record2 = VerificationModel.from_checkpoint(path)
+        assert again.config == model.config and record2 == record
+        for name, param in model.parameters().items():
+            assert again.parameters()[name].data.tobytes() == param.data.tobytes()
+        assert scaler2.mean.tobytes() == scaler.mean.tobytes()
+        assert scaler2.std.tobytes() == scaler.std.tobytes()
+        man = synthesize(2, 4, 5, tmp_path / "data", "val")
+        np.testing.assert_array_equal(
+            evaluate(path, man).prob_matrix.probs,
+            evaluate(self.path, man).prob_matrix.probs,
+        )
 
 
 class TestOverfit:
