@@ -216,7 +216,7 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 def _tracked(parents: tuple) -> bool:
     """Whether an op on these parents joins the backward graph."""
-    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(out_data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
@@ -293,8 +293,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad or a._parents else None
-        gb = a.data.swapaxes(-1, -2) @ g if b.requires_grad or b._parents else None
+        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
+        gb = a.data.swapaxes(-1, -2) @ g if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -508,7 +508,7 @@ def attention_core(
 
     def backward(g):
         gq, gk, gv = (
-            np.zeros_like(t.data) if t.requires_grad or t._parents else None
+            np.zeros_like(t.data) if t.requires_grad else None
             for t in parents
         )
         for (qs, qe, _), (ks, ke, _), (w, keep, dropped) in zip(

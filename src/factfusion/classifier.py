@@ -12,6 +12,7 @@ alpha defaults to 1.0 (pure cross entropy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +46,8 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
 @dataclass

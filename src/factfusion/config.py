@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -60,8 +61,10 @@ class RunConfig:
             raise ValueError("batch_size, epochs and max_seq_len must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("learning_rate", "tail_learning_rate", "tau"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.adapter_scope not in TAIL_MODES:

@@ -1,7 +1,9 @@
 """Samples, manifests, ingestion and the synthetic dataset generator.
 
 A sample carries four text fields (claim/document text and OCR) and
-references to embedding sequence files for the four input streams. Manifests
+references to embedding sequence files for the four input streams, claim
+text (CT), claim image (CI), document text (DT) and document image (DI).
+Every stream is read from its file; all four refs are required. Manifests
 are JSON-lines files: the first line is a header object with the split name
 and the embedding directory, each following line one sample record with
 fields named exactly as RawSample.
@@ -44,6 +46,16 @@ LABELS = (
 )
 LABEL_TO_INDEX = {name: i for i, name in enumerate(LABELS)}
 
+# Stream id -> the RawSample field holding its embedding ref, in the fixed
+# stream order every layer uses.
+STREAM_REFS = {
+    "CT": "claim_text_embedding_ref",
+    "CI": "claim_image_embedding_ref",
+    "DT": "doc_text_embedding_ref",
+    "DI": "doc_image_embedding_ref",
+}
+STREAMS = tuple(STREAM_REFS)
+
 # (text relation, image relation) per class; the generator's ground truth.
 CLASS_RECIPES = {
     "support_text": ("shared", "unrelated"),
@@ -80,8 +92,8 @@ class RawSample:
     doc_ocr: str = ""
     claim_image_embedding_ref: str = ""
     doc_image_embedding_ref: str = ""
-    claim_text_embedding_ref: Optional[str] = None
-    doc_text_embedding_ref: Optional[str] = None
+    claim_text_embedding_ref: str = ""
+    doc_text_embedding_ref: str = ""
     label: Optional[str] = None
 
     def __post_init__(self):
@@ -134,22 +146,22 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(split=header["split"], embedding_dir=str(emb_dir), records=records)
 
 
-def _pseudo_embedding(text: str, width: int, max_seq_len: int) -> np.ndarray:
-    """Deterministic stand-in for a missing text-embedding file (test plumbing)."""
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    length = max(1, min(len(text.split()), max_seq_len))
-    return rng.standard_normal((length, width)).astype(np.float32) / np.sqrt(width)
-
-
-def _load_ref(emb_dir: Path, ref: str, sample_id: str, stream: str) -> np.ndarray:
+def _load_ref(emb_dir: Path, ref: Optional[str], sample_id: str, stream: str) -> np.ndarray:
+    if not ref or not isinstance(ref, str):
+        raise ValueError(f"sample {sample_id}: no {stream} embedding ref")
     path = emb_dir / ref
     if not path.is_file():
-        raise ValueError(f"sample {sample_id}: missing embedding file {path}")
+        raise ValueError(f"sample {sample_id}: missing {stream} embedding file {path}")
     arr = read_tensor(path)
     if arr.ndim != 2:
         raise ValueError(
             f"sample {sample_id}: {stream} embedding has rank {arr.ndim}, expected 2"
+        )
+    if arr.shape[0] == 0:
+        raise ValueError(f"sample {sample_id}: {stream} embedding has no rows")
+    if not np.isfinite(arr).all():
+        raise ValueError(
+            f"sample {sample_id}: {stream} embedding holds a non-finite value"
         )
     return arr
 
@@ -159,37 +171,22 @@ def ingest(
 ) -> Iterator[tuple[RawSample, dict]]:
     """Yield (sample, stream arrays) in manifest order, truncated to max_seq_len.
 
-    Image streams always come from files; text streams fall back to a
-    hash-derived pseudo-embedding when no text-embedding ref is present.
-    A stream with no rows or with a non-finite value is rejected.
+    Every stream, in STREAMS order, is read from the file its ref names. A
+    missing or empty ref, a missing file, a stream with no rows or with a
+    non-finite value, and streams of different widths are rejected with a
+    ValueError naming the sample.
     """
     emb_dir = Path(manifest.embedding_dir)
     for rec in manifest.records:
         streams = {
-            "CI": _load_ref(emb_dir, rec.claim_image_embedding_ref, rec.sample_id, "CI"),
-            "DI": _load_ref(emb_dir, rec.doc_image_embedding_ref, rec.sample_id, "DI"),
+            stream: _load_ref(emb_dir, getattr(rec, field), rec.sample_id, stream)
+            for stream, field in STREAM_REFS.items()
         }
-        width = streams["CI"].shape[1]
-        for stream, ref, text in (
-            ("CT", rec.claim_text_embedding_ref, rec.claim_text),
-            ("DT", rec.doc_text_embedding_ref, rec.doc_text),
-        ):
-            if ref:
-                streams[stream] = _load_ref(emb_dir, ref, rec.sample_id, stream)
-            else:
-                streams[stream] = _pseudo_embedding(text, width, max_seq_len)
         widths = {s: a.shape[1] for s, a in streams.items()}
         if len(set(widths.values())) > 1:
             raise ValueError(
                 f"sample {rec.sample_id}: stream widths disagree: {widths}"
             )
-        for stream, arr in streams.items():
-            if arr.shape[0] == 0:
-                raise ValueError(f"sample {rec.sample_id}: {stream} embedding has no rows")
-            if not np.isfinite(arr).all():
-                raise ValueError(
-                    f"sample {rec.sample_id}: {stream} embedding holds a non-finite value"
-                )
         yield rec, {s: a[:max_seq_len] for s, a in streams.items()}
 
 
@@ -297,12 +294,10 @@ def synthesize(
             doc_text, doc_ocr = _compose_text(rng, doc_topic, text_rel, t_idx)
 
             refs = {}
-            for stream, latent in (
-                ("CT", t_claim), ("CI", i_claim), ("DT", t_doc), ("DI", i_doc)
-            ):
+            for stream, latent in zip(STREAMS, (t_claim, i_claim, t_doc, i_doc)):
                 ref = f"{sid}.{stream}.pcft"
                 write_tensor(emb_dir / ref, _sequence(rng, latent))
-                refs[stream] = ref
+                refs[STREAM_REFS[stream]] = ref
 
             records.append(
                 RawSample(
@@ -311,11 +306,8 @@ def synthesize(
                     claim_ocr=claim_ocr,
                     doc_text=doc_text,
                     doc_ocr=doc_ocr,
-                    claim_image_embedding_ref=refs["CI"],
-                    doc_image_embedding_ref=refs["DI"],
-                    claim_text_embedding_ref=refs["CT"],
-                    doc_text_embedding_ref=refs["DT"],
                     label=label,
+                    **refs,
                 )
             )
 

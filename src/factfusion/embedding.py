@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .autograd import ShapeError, Tensor, add, matmul, relu
+from .data import STREAMS
 
-STREAMS = ("CT", "CI", "DT", "DI")
 TAIL_MODES = ("adapter_only", "all", "frozen")
 
 

@@ -41,6 +41,7 @@ from .autograd import (
     reshape,
     transpose,
 )
+from .data import STREAMS as STREAM_ORDER
 from .embedding import glorot_uniform
 
 PAIRINGS = (
@@ -51,7 +52,6 @@ PAIRINGS = (
     ("DI", "CT"),
     ("DI", "DT"),
 )
-STREAM_ORDER = ("CT", "CI", "DT", "DI")
 AGGREGATIONS = ("mean", "mean_max_last")
 
 
@@ -128,24 +128,6 @@ class CoAttentionBlock:
         v = self._split_heads(matmul(x, self.Wv))
         return q, k, v
 
-    def _attend(
-        self,
-        queries: Tensor,
-        keys_t: Tensor,
-        values: Tensor,
-        query_segs: tuple,
-        key_segs: tuple,
-        training: bool,
-        rng: Optional[np.random.Generator],
-        weights: Optional[list],
-    ) -> Tensor:
-        """Per-sample attention over packed heads; contexts packed like the queries."""
-        context = attention_core(
-            queries, keys_t, values, query_segs, key_segs,
-            self.dropout_rate, rng, training, weights,
-        )
-        return self._merge_heads(context)
-
     def _sublayers(
         self,
         residual: Tensor,
@@ -198,8 +180,13 @@ class CoAttentionBlock:
         qa, ka, va = self._project(a)
         qb, kb, vb = self._project(b)
         w_ab, w_ba = ([], []) if return_weights else (None, None)
-        ctx_ab = self._attend(qa, kb, vb, segs_a, segs_b, training, rng, w_ab)
-        ctx_ba = self._attend(qb, ka, va, segs_b, segs_a, training, rng, w_ba)
+        p = self.dropout_rate
+        ctx_ab = self._merge_heads(
+            attention_core(qa, kb, vb, segs_a, segs_b, p, rng, training, w_ab)
+        )
+        ctx_ba = self._merge_heads(
+            attention_core(qb, ka, va, segs_b, segs_a, p, rng, training, w_ba)
+        )
         out_ab = self._sublayers(a, ctx_ab, training, rng)
         out_ba = self._sublayers(b, ctx_ba, training, rng)
         if not return_weights:

@@ -12,45 +12,54 @@ import numpy as np
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
+    """[C x C] counts for [n] predictions, or [k x C x C] for a [k x n] block."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.size == 0:
         raise ValueError("cannot score an empty label set")
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
+    if y_true.ndim != 1 or y_pred.ndim not in (1, 2) or y_pred.shape[-1] != y_true.shape[0]:
         raise ValueError(
             f"label arrays must be equal-length vectors, got {y_true.shape} and {y_pred.shape}"
         )
     for name, arr in (("true", y_true), ("predicted", y_pred)):
         if arr.min() < 0 or arr.max() >= n_classes:
             raise ValueError(f"{name} labels fall outside [0, {n_classes})")
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(conf, (y_true, y_pred), 1)
-    return conf
+    lead = y_pred.shape[:-1]
+    cells = n_classes * n_classes
+    offsets = np.arange(int(np.prod(lead)))[:, None] * cells
+    flat = offsets + y_true * n_classes + y_pred.reshape(-1, y_true.shape[0])
+    counts = np.bincount(flat.ravel(), minlength=offsets.shape[0] * cells)
+    return counts.reshape(*lead, n_classes, n_classes)
 
 
 def per_class_f1(conf: np.ndarray) -> np.ndarray:
-    """F1 per class from a confusion matrix; 2*tp/(pred+true), zero-safe."""
-    tp = np.diag(conf).astype(np.float64)
-    pred = conf.sum(axis=0).astype(np.float64)
-    true = conf.sum(axis=1).astype(np.float64)
+    """F1 per class from a confusion matrix (any leading axes); 2*tp/(pred+true), zero-safe."""
+    tp = np.diagonal(conf, axis1=-2, axis2=-1).astype(np.float64)
+    pred = conf.sum(axis=-2).astype(np.float64)
+    true = conf.sum(axis=-1).astype(np.float64)
     denom = pred + true
     return np.divide(2.0 * tp, denom, out=np.zeros_like(tp), where=denom > 0)
 
 
+def weighted_f1_of(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support-weighted mean of per-class F1 per confusion matrix, and the per-class F1s."""
+    f1 = per_class_f1(conf)
+    support = conf.sum(axis=-1)
+    return (f1 * support).sum(axis=-1) / support.sum(axis=-1), f1
+
+
 def weighted_f1(y_true, y_pred, n_classes: int) -> tuple[float, np.ndarray]:
     """Support-weighted mean of per-class F1; also returns the per-class F1s."""
-    conf = confusion_matrix(y_true, y_pred, n_classes)
-    f1 = per_class_f1(conf)
-    support = conf.sum(axis=1)
-    return float((f1 * support).sum() / support.sum()), f1
+    wf1, f1 = weighted_f1_of(confusion_matrix(y_true, y_pred, n_classes))
+    return float(wf1), f1
 
 
 def weighted_f1_batch(y_true: np.ndarray, preds: np.ndarray, n_classes: int) -> np.ndarray:
     """Weighted F1 for many prediction vectors at once.
 
     preds has shape [k, n]; returns the k weighted-F1 scores. Used by the
-    ensemble tuner, where scoring thousands of candidates one confusion
-    matrix at a time would dominate the budget.
+    ensemble tuner, where scoring thousands of candidates one call at a time
+    would dominate the budget.
     """
     y_true = np.asarray(y_true)
     preds = np.asarray(preds)
@@ -58,16 +67,7 @@ def weighted_f1_batch(y_true: np.ndarray, preds: np.ndarray, n_classes: int) -> 
         raise ValueError(
             f"prediction block {preds.shape} incompatible with {y_true.shape[0]} labels"
         )
-    support = np.bincount(y_true, minlength=n_classes).astype(np.float64)
-    total = np.zeros(preds.shape[0], dtype=np.float64)
-    for c in range(n_classes):
-        is_true = y_true == c
-        is_pred = preds == c
-        tp = (is_pred & is_true).sum(axis=1).astype(np.float64)
-        denom = is_pred.sum(axis=1) + support[c]
-        f1_c = np.divide(2.0 * tp, denom, out=np.zeros_like(tp), where=denom > 0)
-        total += f1_c * support[c]
-    return total / support.sum()
+    return weighted_f1_of(confusion_matrix(y_true, preds, n_classes))[0]
 
 
 def report_csv(conf: np.ndarray, class_names: Sequence[str]) -> str:
@@ -78,13 +78,12 @@ def report_csv(conf: np.ndarray, class_names: Sequence[str]) -> str:
     true = conf.sum(axis=1).astype(np.float64)
     prec = np.divide(tp, pred, out=np.zeros_like(tp), where=pred > 0)
     rec = np.divide(tp, true, out=np.zeros_like(tp), where=true > 0)
-    f1 = per_class_f1(conf)
+    wf1, f1 = weighted_f1_of(conf)
     lines = ["label,support,precision,recall,f1"]
     for i, name in enumerate(class_names):
         lines.append(
             f"{name},{int(true[i])},{prec[i]:.6f},{rec[i]:.6f},{f1[i]:.6f}"
         )
-    wf1 = (f1 * true).sum() / true.sum()
     lines.append(f"weighted,{int(true.sum())},,,{wf1:.6f}")
     return "\n".join(lines) + "\n"
 

@@ -94,8 +94,8 @@ class VerificationModel:
     ) -> tuple[Tensor, Tensor]:
         """Class probabilities and classifier hidden states for a batch.
 
-        Each sample maps stream ids to [rows x backbone_dim] tensors; the
-        row counts may differ between samples and streams.
+        Each sample maps stream ids to [rows x backbone_dim] arrays or
+        tensors; the row counts may differ between samples and streams.
         """
         rows = {s: [sample[s].shape[0] for sample in batch] for s in self.streams}
         embedded = {}

@@ -17,13 +17,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import no_grad
 from .classifier import LossConfig, total_loss
 from .config import RunConfig
 from .data import LABEL_TO_INDEX, DatasetManifest, ingest, load_manifest
 from .ensemble import ProbMatrix
 from .features import FeatureScaler, extract_corpus
-from .metrics import confusion_matrix, weighted_f1
+from .metrics import confusion_matrix, weighted_f1, weighted_f1_of
 from .model import VerificationModel
 from .optim import Adam
 
@@ -56,10 +56,6 @@ def _resolve(manifest: ManifestLike) -> DatasetManifest:
     return load_manifest(manifest)
 
 
-def _as_tensors(arrays: dict) -> dict:
-    return {s: Tensor.constant(a) for s, a in arrays.items()}
-
-
 def _sorted_chunks(data: list, batch_size: int) -> list:
     order = sorted(
         range(len(data)),
@@ -78,7 +74,7 @@ def _predict_probs(
     with no_grad():
         for start in range(0, len(data), batch_size):
             idx = range(start, min(start + batch_size, len(data)))
-            batch = [_as_tensors(data[i][1]) for i in idx]
+            batch = [data[i][1] for i in idx]
             feats = features[list(idx)] if features is not None else None
             probs, _ = model.forward_batch(batch, feats, training=False)
             out.append(probs.data.astype(np.float64))
@@ -111,8 +107,8 @@ def train(
     if not config.text_only:
         train_raw = extract_corpus(train_man.records)
         scaler = FeatureScaler.fit(train_raw)
-        train_feats = scaler.transform(train_raw).astype(np.float32)
-        val_feats = extract_corpus(val_man.records, scaler).astype(np.float32)
+        train_feats = scaler.transform(train_raw)
+        val_feats = extract_corpus(val_man.records, scaler)
 
     init_ss, drop_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = VerificationModel(config, backbone_dim, rng=np.random.default_rng(init_ss))
@@ -139,7 +135,7 @@ def train(
             epoch_total = 0.0
             for ci in order:
                 chunk = chunks[ci]
-                batch = [_as_tensors(train_data[i][1]) for i in chunk]
+                batch = [train_data[i][1] for i in chunk]
                 feats = train_feats[chunk] if train_feats is not None else None
                 cfg = loss_cfg if len(chunk) > 1 else ce_only
                 probs, hidden = model.forward_batch(
@@ -215,7 +211,7 @@ def evaluate(
         raise ValueError("cannot evaluate an empty manifest")
     feats = None
     if scaler is not None:
-        feats = extract_corpus(man.records, scaler).astype(np.float32)
+        feats = extract_corpus(man.records, scaler)
 
     probs = _predict_probs(model, data, feats, model.config.batch_size)
     matrix = ProbMatrix(
@@ -225,8 +221,6 @@ def evaluate(
     )
     if any(rec.label is None for rec in man.records):
         return EvalResult(prob_matrix=matrix)
-    labels = man.labels()
-    preds = probs.argmax(axis=1)
-    conf = confusion_matrix(labels, preds, len(LABEL_TO_INDEX))
-    f1, per_class = weighted_f1(labels, preds, len(LABEL_TO_INDEX))
-    return EvalResult(prob_matrix=matrix, f1=f1, per_class=per_class, confusion=conf)
+    conf = confusion_matrix(man.labels(), probs.argmax(axis=1), len(LABEL_TO_INDEX))
+    f1, per_class = weighted_f1_of(conf)
+    return EvalResult(prob_matrix=matrix, f1=float(f1), per_class=per_class, confusion=conf)

@@ -222,6 +222,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="tau"):
             LossConfig(tau=0.0)
 
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            LossConfig(tau=tau)
+
     def test_alpha_one_skips_batch_size_restriction(self):
         # Pure CE must work on a single sample even though SCL cannot.
         probs = Tensor.constant(np.full((1, 5), 0.2))

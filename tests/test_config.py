@@ -50,6 +50,13 @@ class TestValidation:
             ("alpha", 1.5),
             ("alpha", -0.1),
             ("tau", 0.0),
+            ("tau", float("inf")),
+            ("tau", float("nan")),
+            ("learning_rate", float("nan")),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-3),
+            ("tail_learning_rate", -1.0),
+            ("tail_learning_rate", float("inf")),
             ("aggregation", "median"),
             ("adapter_scope", "everything"),
         ],

@@ -10,8 +10,8 @@ from factfusion.data import (
     LABELS,
     LABEL_TO_INDEX,
     DatasetManifest,
+    STREAM_REFS,
     RawSample,
-    _pseudo_embedding,
     ingest,
     load_manifest,
     synthesize,
@@ -206,26 +206,14 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"sample {victim.sample_id}: CT .* non-finite"):
             list(ingest(m))
 
-    def test_pseudo_embedding_fallback(self, tmp_path):
+    @pytest.mark.parametrize("missing", [None, ""])
+    @pytest.mark.parametrize("stream", list(STREAM_REFS))
+    def test_missing_ref_names_sample_and_stream(self, tmp_path, stream, missing):
         m = synthesize(1, 8, 0, tmp_path, "train")
-        for rec in m.records:
-            rec.claim_text_embedding_ref = None
-        rows = list(ingest(m))
-        assert rows[0][1]["CT"].shape[1] == 8
-        again = list(ingest(m))
-        np.testing.assert_array_equal(rows[0][1]["CT"], again[0][1]["CT"])
-
-    def test_pseudo_embedding_depends_on_text(self):
-        a = _pseudo_embedding("some claim", 8, 64)
-        b = _pseudo_embedding("other claim", 8, 64)
-        assert a.shape == (2, 8) and b.shape == (2, 8)
-        assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, _pseudo_embedding("some claim", 8, 64))
-
-    def test_pseudo_embedding_length_capped(self):
-        text = " ".join(["word"] * 100)
-        assert _pseudo_embedding(text, 4, 16).shape == (16, 4)
-        assert _pseudo_embedding("", 4, 16).shape == (1, 4)
+        victim = m.records[3]
+        setattr(victim, STREAM_REFS[stream], missing)
+        with pytest.raises(ValueError, match=f"sample {victim.sample_id}: no {stream} "):
+            list(ingest(m))
 
 
 class TestSignalRecoverable:

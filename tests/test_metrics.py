@@ -42,6 +42,18 @@ class TestConfusionMatrix:
         assert conf[1, 2] == 1
         assert conf.sum() == 1
 
+    def test_block_holds_one_matrix_per_row(self):
+        rng = np.random.default_rng(3)
+        y_true = rng.integers(0, 4, size=25)
+        preds = rng.integers(0, 4, size=(6, 25))
+        block = confusion_matrix(y_true, preds, 4)
+        assert block.shape == (6, 4, 4)
+        for row, conf in zip(preds, block):
+            np.testing.assert_array_equal(conf, confusion_matrix(y_true, row, 4))
+        np.testing.assert_array_equal(
+            per_class_f1(block), [per_class_f1(conf) for conf in block]
+        )
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             confusion_matrix([], [], 3)
@@ -110,9 +122,31 @@ class TestWeightedF1Batch:
             single, _ = weighted_f1(y_true, preds[k], 5)
             assert batch[k] == pytest.approx(single, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        n_classes = int(rng.integers(2, 7))
+        y_true = rng.integers(0, n_classes, size=n)
+        preds = rng.integers(0, n_classes, size=(int(rng.integers(1, 9)), n))
+        batch = weighted_f1_batch(y_true, preds, n_classes)
+        assert batch.shape == (preds.shape[0],)
+        for row, got in zip(preds, batch):
+            assert got == pytest.approx(
+                weighted_f1_reference(y_true, row, n_classes), abs=1e-12
+            )
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="incompatible"):
             weighted_f1_batch(np.array([0, 1]), np.array([[0, 1, 2]]), 3)
+        with pytest.raises(ValueError, match="incompatible"):
+            weighted_f1_batch(np.array([0, 1]), np.array([0, 1]), 3)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="predicted"):
+            weighted_f1_batch(np.array([0, 1]), np.array([[0, 1], [1, 3]]), 3)
+        with pytest.raises(ValueError, match="predicted"):
+            weighted_f1_batch(np.array([0, 1]), np.array([[0, -1]]), 3)
 
 
 class TestReports:
