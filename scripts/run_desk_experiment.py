@@ -22,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from factfusion.config import RunConfig
 from factfusion.data import synthesize
 from factfusion.ensemble import VARIANTS, tune
-from factfusion.metrics import weighted_f1_batch
 from factfusion.training import train
 
 DESK = dict(
@@ -78,10 +77,7 @@ def main() -> int:
           f"({time.perf_counter() - t0:.0f}s)")
 
     mats = [results[s].prob_matrix for s in args.seeds]
-    singles = [
-        float(weighted_f1_batch(labels, m.probs.argmax(axis=1)[None, :], 5)[0])
-        for m in mats
-    ]
+    singles = [results[s].best_f1 for s in args.seeds]
 
     print()
     print(f"{'model':<18}  val F1")

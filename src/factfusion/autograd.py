@@ -367,16 +367,22 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
+def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return out * (g - np.sum(g * out, axis=axis, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if axis >= x.ndim or axis < -x.ndim:
         raise ShapeError(f"softmax: axis {axis} out of bounds for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = _softmax_forward(x.data, axis)
 
     def backward(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_backward(out, g, axis),)
 
     return _make(out, (x,), backward)
 
@@ -448,12 +454,6 @@ def dropout(
     return _make(x.data * keep, (x,), backward)
 
 
-def _key_mask(length: int, total: int, dtype) -> np.ndarray:
-    mask = np.zeros((1, 1, total), dtype=dtype)
-    mask[..., length:] = -np.inf
-    return mask
-
-
 def attention_core(
     queries: Tensor,
     keys_t: Tensor,
@@ -494,10 +494,8 @@ def attention_core(
     saved = []  # (weights, keep mask, dropped weights) per segment, for backward
     for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
         scores = queries.data[:, qs:qe] @ keys_t.data[:, :, ks:ke]
-        if valid < ke - ks:
-            scores = scores + _key_mask(valid, ke - ks, scores.dtype)
-        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-        w = e / np.sum(e, axis=-1, keepdims=True)
+        scores[..., valid:] = -np.inf
+        w = _softmax_forward(scores, -1)
         keep = _keep_mask(w.shape, w.dtype, p, rng, training)
         dropped = w if keep is None else w * keep
         out[:, qs:qe] = dropped @ values.data[:, ks:ke]
@@ -522,7 +520,7 @@ def attention_core(
             gw = g_seg @ values.data[:, ks:ke].swapaxes(-1, -2)
             if keep is not None:
                 gw = gw * keep
-            gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True))
+            gs = _softmax_backward(w, gw, -1)
             if gq is not None:
                 gq[:, qs:qe] = gs @ keys_t.data[:, :, ks:ke].swapaxes(-1, -2)
             if gk is not None:
@@ -614,17 +612,11 @@ def tensor_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def getitem(x: Tensor, idx) -> Tensor:
     out = x.data[idx]
-    # Slices and integers select each element at most once, so their
-    # gradient is a plain assignment; index arrays may repeat elements.
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    basic = all(isinstance(p, (slice, int)) for p in parts)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        if basic:
-            gx[idx] = g
-        else:
-            np.add.at(gx, idx, g)
+        # add.at, not assignment: an index array may repeat an element.
+        np.add.at(gx, idx, g)
         return (gx,)
 
     return _make(np.asarray(out), (x,), backward)

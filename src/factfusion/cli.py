@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import LABELS, load_manifest, synthesize
-from .ensemble import EnsembleSpec, ProbMatrix, blend, predict, tune
+from .ensemble import VARIANTS, EnsembleSpec, ProbMatrix, blend, predict, tune
 from .features import FIELD_ORDER, STAT_NAMES, FeatureScaler, extract_corpus
 from .metrics import report_text, weighted_f1
 from .training import evaluate, train
@@ -49,12 +49,8 @@ def _add_config_flags(sp) -> None:
 
 def _merged_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return cfg.updated(**overrides)
+    flags = {name: getattr(args, name) for name in RunConfig.field_names()}
+    return cfg.updated(**flags)  # updated() skips the flags left unset (None)
 
 
 def _cmd_synth(args) -> int:
@@ -206,8 +202,7 @@ def build_parser() -> _Parser:
     sp = ens_sub.add_parser("tune", help="search weights/powers on validation data")
     sp.add_argument("matrices", nargs="+")
     sp.add_argument("--manifest", required=True)
-    sp.add_argument("--variant", default="unified",
-                    choices=("average", "weighted", "power", "unified"))
+    sp.add_argument("--variant", default="unified", choices=VARIANTS)
     sp.add_argument("--budget", type=int, default=200_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)

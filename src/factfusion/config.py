@@ -47,7 +47,6 @@ class RunConfig:
     train_manifest: Optional[str] = None
     val_manifest: Optional[str] = None
     out_dir: str = "runs"
-    checkpoint: Optional[str] = None
 
     def __post_init__(self):
         self.validate()

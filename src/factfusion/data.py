@@ -97,6 +97,11 @@ class RawSample:
     label: Optional[str] = None
 
     def __post_init__(self):
+        bad = [k for k, v in vars(self).items() if k != "label" and not isinstance(v, str)]
+        if bad:
+            raise ValueError(
+                f"sample {self.sample_id!r}: not a string: {', '.join(bad)}"
+            )
         if self.label is not None and self.label not in LABELS:
             raise ValueError(
                 f"sample {self.sample_id}: unknown label {self.label!r}"
@@ -131,9 +136,16 @@ def load_manifest(path) -> DatasetManifest:
     lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
     if not lines:
         raise ValueError(f"{path}: empty manifest")
-    header = json.loads(lines[0])
-    if "split" not in header or "embedding_dir" not in header:
-        raise ValueError(f"{path}: first line must carry split and embedding_dir")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or not all(
+        isinstance(header.get(k), str) for k in ("split", "embedding_dir")
+    ):
+        raise ValueError(
+            f"{path}: first line must be a JSON object with string split and embedding_dir"
+        )
     emb_dir = Path(header["embedding_dir"])
     if not emb_dir.is_absolute():
         emb_dir = path.parent / emb_dir
@@ -141,7 +153,7 @@ def load_manifest(path) -> DatasetManifest:
     for i, line in enumerate(lines[1:], start=2):
         try:
             records.append(RawSample(**json.loads(line)))
-        except (json.JSONDecodeError, TypeError) as err:
+        except (ValueError, TypeError) as err:
             raise ValueError(f"{path}:{i}: bad sample record ({err})") from None
     return DatasetManifest(split=header["split"], embedding_dir=str(emb_dir), records=records)
 
@@ -166,15 +178,14 @@ def _load_ref(emb_dir: Path, ref: Optional[str], sample_id: str, stream: str) ->
     return arr
 
 
-def ingest(
-    manifest: DatasetManifest, max_seq_len: int = 512
-) -> Iterator[tuple[RawSample, dict]]:
-    """Yield (sample, stream arrays) in manifest order, truncated to max_seq_len.
+def ingest(manifest: DatasetManifest, max_seq_len: int = 512) -> Iterator[dict]:
+    """Yield each sample's {stream: array} dict, in manifest order.
 
-    Every stream, in STREAMS order, is read from the file its ref names. A
-    missing or empty ref, a missing file, a stream with no rows or with a
-    non-finite value, and streams of different widths are rejected with a
-    ValueError naming the sample.
+    Item i belongs to manifest.records[i]; every array is truncated to
+    max_seq_len rows. Every stream, in STREAMS order, is read from the file
+    its ref names. A missing or empty ref, a missing file, a stream with no
+    rows or with a non-finite value, and streams of different widths are
+    rejected with a ValueError naming the sample.
     """
     emb_dir = Path(manifest.embedding_dir)
     for rec in manifest.records:
@@ -187,7 +198,7 @@ def ingest(
             raise ValueError(
                 f"sample {rec.sample_id}: stream widths disagree: {widths}"
             )
-        yield rec, {s: a[:max_seq_len] for s, a in streams.items()}
+        yield {s: a[:max_seq_len] for s, a in streams.items()}
 
 
 def _prototype_bank(seed: int, d_backbone: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,13 +217,18 @@ def _sequence(rng, latent: np.ndarray, noise: float = 0.15) -> np.ndarray:
     return rows.astype(np.float32)
 
 
-def _compose_text(rng, topic: int, relation: str, base_topic: int) -> tuple[str, str]:
-    """Document text + OCR echoing the text relation of the sample."""
-    words = list(_TOPIC_WORDS[topic].split())
+def _topic_phrase(rng, topic: int) -> tuple[list, list]:
+    """The topic's words, shuffled, and 3-5 of them followed by two stopwords."""
+    words = _TOPIC_WORDS[topic].split()
     rng.shuffle(words)
     picked = words[: int(rng.integers(3, 6))]
     fill = [str(_STOPWORD_FILL[int(rng.integers(len(_STOPWORD_FILL)))]) for _ in range(2)]
-    parts = picked + fill
+    return words, picked + fill
+
+
+def _compose_text(rng, topic: int, relation: str, base_topic: int) -> tuple[str, str]:
+    """Document text + OCR echoing the text relation of the sample."""
+    _, parts = _topic_phrase(rng, topic)
     if relation == "negated":
         marks = list(_CONTRADICTION_WORDS)
         rng.shuffle(marks)
@@ -230,11 +246,7 @@ def _compose_text(rng, topic: int, relation: str, base_topic: int) -> tuple[str,
 
 
 def _claim_text(rng, topic: int) -> tuple[str, str]:
-    words = list(_TOPIC_WORDS[topic].split())
-    rng.shuffle(words)
-    picked = words[: int(rng.integers(3, 6))]
-    fill = [str(_STOPWORD_FILL[int(rng.integers(len(_STOPWORD_FILL)))]) for _ in range(2)]
-    parts = picked + fill
+    words, parts = _topic_phrase(rng, topic)
     rng.shuffle(parts)
     ocr = " ".join(words[:2])
     return " ".join(parts) + ".", ocr

@@ -201,9 +201,12 @@ class VerificationModel:
         if meta is None:
             meta = json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
             meta.pop("backbone_dim", None)
+        config = meta.pop("config", None)
+        if isinstance(config, dict):
+            config.pop("checkpoint", None)  # a removed field, null in older files
         try:
-            config = RunConfig(**meta.pop("config"))
-        except (KeyError, TypeError) as err:
+            config = RunConfig(**config)
+        except TypeError as err:
             raise FormatError(f"{path}: no valid config in the metadata ({err})") from None
         embed = entries.get("embed.CT.W")
         if embed is None or embed.ndim != 2:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -10,40 +10,27 @@ from .autograd import GraphError, Tensor
 
 ParamGroup = dict  # {"params": Sequence[Tensor], "lr": float}
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with bias correction; β1=0.9, β2=0.999, eps=1e-8.
 
-    Accepts either a flat iterable of tensors (single learning rate) or a
-    list of {"params": [...], "lr": ...} groups. Only tensors with
-    requires_grad=True may be registered.
+    Takes a list of {"params": [...], "lr": ...} groups, each with its own
+    positive learning rate. Only tensors with requires_grad=True may be
+    registered.
     """
 
-    def __init__(
-        self,
-        params: Union[Iterable[Tensor], Sequence[ParamGroup]],
-        lr: float = 5e-5,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        params = list(params)
-        if params and isinstance(params[0], dict):
-            self.groups = [
-                {"params": list(g["params"]), "lr": float(g.get("lr", lr))}
-                for g in params
-            ]
-        else:
-            self.groups = [{"params": params, "lr": float(lr)}]
+    def __init__(self, groups: Sequence[ParamGroup]):
+        self.groups = [
+            {"params": list(g["params"]), "lr": float(g["lr"])} for g in groups
+        ]
         for g in self.groups:
             if g["lr"] <= 0:
                 raise ValueError(f"learning rate must be positive, got {g['lr']}")
             for p in g["params"]:
                 if not isinstance(p, Tensor) or not p.requires_grad:
                     raise ValueError("optimizer accepts only requires_grad tensors")
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self._m = [
             [np.zeros_like(p.data) for p in g["params"]] for g in self.groups
@@ -55,8 +42,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for gi, group in enumerate(self.groups):
             lr = group["lr"]
             for pi, p in enumerate(group["params"]):
@@ -68,11 +55,11 @@ class Adam:
                 g = p.grad
                 m = self._m[gi][pi]
                 v = self._v[gi][pi]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
                 p.data = p.data - lr * update.astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:

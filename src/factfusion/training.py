@@ -59,7 +59,7 @@ def _resolve(manifest: ManifestLike) -> DatasetManifest:
 def _sorted_chunks(data: list, batch_size: int) -> list:
     order = sorted(
         range(len(data)),
-        key=lambda i: (max(a.shape[0] for a in data[i][1].values()), i),
+        key=lambda i: (max(a.shape[0] for a in data[i].values()), i),
     )
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
@@ -73,10 +73,9 @@ def _predict_probs(
     out = []
     with no_grad():
         for start in range(0, len(data), batch_size):
-            idx = range(start, min(start + batch_size, len(data)))
-            batch = [data[i][1] for i in idx]
-            feats = features[list(idx)] if features is not None else None
-            probs, _ = model.forward_batch(batch, feats, training=False)
+            stop = start + batch_size
+            feats = features[start:stop] if features is not None else None
+            probs, _ = model.forward_batch(data[start:stop], feats, training=False)
             out.append(probs.data.astype(np.float64))
     return np.vstack(out)
 
@@ -100,7 +99,7 @@ def train(
         raise ValueError("training needs non-empty train and validation manifests")
     train_labels = train_man.labels()
     val_labels = val_man.labels()
-    backbone_dim = train_data[0][1]["CI"].shape[1]
+    backbone_dim = train_data[0]["CI"].shape[1]
 
     scaler = None
     train_feats = val_feats = None
@@ -135,7 +134,7 @@ def train(
             epoch_total = 0.0
             for ci in order:
                 chunk = chunks[ci]
-                batch = [train_data[i][1] for i in chunk]
+                batch = [train_data[i] for i in chunk]
                 feats = train_feats[chunk] if train_feats is not None else None
                 cfg = loss_cfg if len(chunk) > 1 else ce_only
                 probs, hidden = model.forward_batch(

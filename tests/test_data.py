@@ -33,6 +33,10 @@ class TestLabels:
         with pytest.raises(ValueError, match="sample s1.*unknown label"):
             RawSample(sample_id="s1", label="maybe")
 
+    def test_non_string_text_rejected(self):
+        with pytest.raises(ValueError, match="sample 's1': not a string: claim_text"):
+            RawSample(sample_id="s1", claim_text=None)
+
     def test_unlabeled_allowed_until_labels_called(self):
         rec = RawSample(sample_id="s1")
         m = DatasetManifest(split="t", embedding_dir=".", records=[rec])
@@ -154,6 +158,31 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=":2:"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sample_id": 7, "claim_text": None},
+            {"sample_id": "a", "doc_ocr": ["x"]},
+            {"sample_id": "a", "claim_image_embedding_ref": 3},
+        ],
+    )
+    def test_non_string_field_names_line(self, tmp_path, fields):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"split": "x", "embedding_dir": "."}\n'
+            + json.dumps({"sample_id": "ok"}) + "\n" + json.dumps(fields) + "\n"
+        )
+        bad = ", ".join(k for k, v in fields.items() if not isinstance(v, str))
+        with pytest.raises(ValueError, match=f":3: .*not a string: {bad}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("header", ["5", "not json", '{"split": 1, "embedding_dir": "."}'])
+    def test_header_must_be_an_object_of_strings(self, tmp_path, header):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl"):
+            load_manifest(path)
+
     def test_relative_dir_resolved_against_manifest(self, tmp_path):
         sub = tmp_path / "deep"
         sub.mkdir()
@@ -166,7 +195,7 @@ class TestManifestIO:
 class TestIngest:
     def test_round_trip_streams(self, tmp_path):
         m = synthesize(1, 8, 0, tmp_path, "train")
-        for rec, streams in ingest(m):
+        for rec, streams in zip(m.records, ingest(m)):
             assert set(streams) == {"CI", "DI", "CT", "DT"}
             direct = read_tensor(
                 tmp_path / "embeddings" / rec.claim_image_embedding_ref
@@ -175,7 +204,7 @@ class TestIngest:
 
     def test_truncates_to_max_seq_len(self, tmp_path):
         m = synthesize(1, 8, 0, tmp_path, "train")
-        for _, streams in ingest(m, max_seq_len=3):
+        for streams in ingest(m, max_seq_len=3):
             for arr in streams.values():
                 assert arr.shape[0] <= 3
 
@@ -227,7 +256,7 @@ class TestSignalRecoverable:
         m = synthesize(20, 16, 9, tmp_path, "train")
         y = m.labels()
         feats = []
-        for _, streams in ingest(m):
+        for streams in ingest(m):
             pooled = {s: a.mean(axis=0) for s, a in streams.items()}
 
             def cos(a, b):

@@ -27,7 +27,7 @@ class TestUpdateRule:
         p = Tensor.param([1.0, -2.0, 0.5], dtype=np.float64)
         grads = [np.array([2.0, -1.0, 0.25])]
         expected = adam_reference(p.data, grads, lr=0.1)
-        opt = Adam([p], lr=0.1)
+        opt = Adam([{"params": [p], "lr": 0.1}])
         p.grad = grads[0].copy()
         opt.step()
         np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-14)
@@ -36,7 +36,7 @@ class TestUpdateRule:
         # With zero-initialized moments the bias-corrected first update is
         # g / (|g| + eps), i.e. nearly sign(g), independent of |g|.
         p = Tensor.param([5.0, -5.0], dtype=np.float64)
-        opt = Adam([p], lr=0.01)
+        opt = Adam([{"params": [p], "lr": 0.01}])
         p.grad = np.array([1e3, -1e-3])
         opt.step()
         np.testing.assert_allclose(p.data, [5.0 - 0.01, -5.0 + 0.01], atol=1e-6)
@@ -46,7 +46,7 @@ class TestUpdateRule:
         theta0 = rng.standard_normal((2, 3))
         grads = [rng.standard_normal((2, 3)) for _ in range(5)]
         p = Tensor.param(theta0, dtype=np.float64)
-        opt = Adam([p], lr=0.05)
+        opt = Adam([{"params": [p], "lr": 0.05}])
         for g in grads:
             p.grad = g.copy()
             opt.step()
@@ -56,7 +56,7 @@ class TestUpdateRule:
     def test_moments_persist_across_steps(self):
         # Two steps with opposite gradients do not cancel: momentum decays.
         p = Tensor.param([0.0], dtype=np.float64)
-        opt = Adam([p], lr=0.1)
+        opt = Adam([{"params": [p], "lr": 0.1}])
         p.grad = np.array([1.0])
         opt.step()
         p.grad = np.array([-1.0])
@@ -68,7 +68,7 @@ class TestUpdateRule:
     def test_float32_param_stays_float32(self):
         p = Tensor.param([1.0, 2.0], dtype=np.float32)
         assert p.dtype == np.float32
-        opt = Adam([p], lr=0.1)
+        opt = Adam([{"params": [p], "lr": 0.1}])
         p.grad = np.ones(2, dtype=np.float32)
         opt.step()
         assert p.dtype == np.float32
@@ -91,11 +91,6 @@ class TestGroups:
         np.testing.assert_allclose(slow.data, [-1e-3], atol=1e-9)
         np.testing.assert_allclose(fast.data, [-1e-1], atol=1e-7)
 
-    def test_group_default_lr_falls_back_to_top_level(self):
-        p = Tensor.param([0.0], dtype=np.float64)
-        opt = Adam([{"params": [p]}], lr=0.5)
-        assert opt.groups[0]["lr"] == 0.5
-
     def test_missing_grad_error_names_group_param_and_shape(self):
         a = Tensor.param(np.zeros((2, 2)))
         b = Tensor.param(np.zeros(3))
@@ -112,7 +107,7 @@ class TestGroups:
 class TestBookkeeping:
     def test_step_count_increments(self):
         p = Tensor.param([0.0])
-        opt = Adam([p], lr=0.1)
+        opt = Adam([{"params": [p], "lr": 0.1}])
         assert opt.step_count == 0
         for i in range(3):
             p.grad = np.ones(1, dtype=np.float32)
@@ -131,20 +126,20 @@ class TestBookkeeping:
     def test_rejects_nonpositive_lr(self):
         p = Tensor.param([0.0])
         with pytest.raises(ValueError):
-            Adam([p], lr=0.0)
+            Adam([{"params": [p], "lr": 0.0}])
         with pytest.raises(ValueError):
             Adam([{"params": [p], "lr": -1.0}])
 
     def test_rejects_frozen_tensor(self):
         frozen = Tensor.constant([1.0])
         with pytest.raises(ValueError):
-            Adam([frozen], lr=0.1)
+            Adam([{"params": [frozen], "lr": 0.1}])
 
 
 class TestConvergence:
     def test_minimizes_shifted_quadratic(self):
         theta = Tensor.param([10.0], dtype=np.float64)
-        opt = Adam([theta], lr=0.3)
+        opt = Adam([{"params": [theta], "lr": 0.3}])
         for _ in range(400):
             opt.zero_grad()
             diff = theta + Tensor.constant([-3.0], dtype=np.float64)
@@ -159,7 +154,7 @@ class TestConvergence:
         y = Tensor.constant(2.0 * x.data + 0.5, dtype=np.float64)
         w = Tensor.param([[0.0]], dtype=np.float64)
         b = Tensor.param([0.0], dtype=np.float64)
-        opt = Adam([w, b], lr=0.1)
+        opt = Adam([{"params": [w, b], "lr": 0.1}])
         first = None
         for _ in range(300):
             opt.zero_grad()

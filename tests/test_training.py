@@ -178,7 +178,7 @@ class TestEvaluate:
 
         model, scaler, _ = VerificationModel.from_checkpoint(result.checkpoint)
         data = list(ingest(val_man, cfg.max_seq_len))
-        batch = [{s: Tensor.constant(a) for s, a in arrays.items()} for _, arrays in data]
+        batch = [{s: Tensor.constant(a) for s, a in arrays.items()} for arrays in data]
         feats = extract_corpus(val_man.records, scaler)
         probs, _ = forward(model, batch, feats.astype(np.float32), training=False)
         np.testing.assert_allclose(ev.prob_matrix.probs, probs.data, rtol=0, atol=1e-6)
@@ -235,7 +235,9 @@ class TestVersion1Fixture:
         assert meta is None
         sidecar = json.loads(Path(f"{self.path}.meta.json").read_text(encoding="utf-8"))
         model, scaler, record = VerificationModel.from_checkpoint(self.path)
-        assert model.config == RunConfig(**sidecar["config"])
+        stored = sidecar["config"]
+        assert stored.pop("checkpoint") is None
+        assert model.config == RunConfig(**stored)
         assert model.backbone_dim == sidecar["backbone_dim"] == 4
         assert record == {"best_epoch": 2, "best_f1": sidecar["best_f1"]}
         params = model.parameters()
@@ -252,6 +254,24 @@ class TestVersion1Fixture:
         assert ev.prob_matrix.probs.shape == (len(man.records), 5)
         np.testing.assert_allclose(ev.prob_matrix.probs.sum(axis=1), 1.0, atol=1e-5)
         assert 0.0 <= ev.f1 <= 1.0
+
+    def test_version_2_file_storing_checkpoint_field_evaluates(self, tmp_path):
+        # Version-2 files written while RunConfig had a checkpoint field
+        # store it as null in their config.
+        entries, _ = read_checkpoint(self.path)
+        sidecar = json.loads(Path(f"{self.path}.meta.json").read_text(encoding="utf-8"))
+        assert sidecar["config"]["checkpoint"] is None
+        path = tmp_path / "older.pcfc"
+        tensor_io.write_checkpoint(
+            path, entries, {"best_epoch": 2, "best_f1": 0.5, "config": sidecar["config"]}
+        )
+        model, _, record = VerificationModel.from_checkpoint(path)
+        assert model.config == VerificationModel.from_checkpoint(self.path)[0].config
+        assert record == {"best_epoch": 2, "best_f1": 0.5}
+        man = synthesize(2, 4, 5, tmp_path, "val")
+        np.testing.assert_array_equal(
+            evaluate(path, man).prob_matrix.probs, evaluate(self.path, man).prob_matrix.probs
+        )
 
     def test_resaves_as_one_version_2_file(self, tmp_path):
         model, scaler, record = VerificationModel.from_checkpoint(self.path)
