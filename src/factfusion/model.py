@@ -201,11 +201,11 @@ class VerificationModel:
         if meta is None:
             meta = json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
             meta.pop("backbone_dim", None)
-        config = meta.pop("config", None)
-        if isinstance(config, dict):
-            config.pop("checkpoint", None)  # a removed field, null in older files
+        stored = meta.pop("config", None)
+        if isinstance(stored, dict):
+            stored.pop("checkpoint", None)  # a removed field, null in older files
         try:
-            config = RunConfig(**config)
+            config = RunConfig(**stored)
         except TypeError as err:
             raise FormatError(f"{path}: no valid config in the metadata ({err})") from None
         embed = entries.get("embed.CT.W")
