@@ -456,8 +456,10 @@ def dropout(
 
 def attention_core(
     queries: Tensor,
-    keys_t: Tensor,
+    keys: Tensor,
     values: Tensor,
+    heads: int,
+    scale: Number,
     query_segs: Sequence[tuple],
     key_segs: Sequence[tuple],
     p: float,
@@ -465,69 +467,68 @@ def attention_core(
     training: bool,
     weights: Optional[list] = None,
 ) -> Tensor:
-    """Segment-wise attention over packed heads, as one graph node.
+    """Segment-wise multi-head attention over packed rows, as one graph node.
 
-    queries [H, Σq, d/H] (already scaled), keys_t [H, d/H, Σk] and values
-    [H, Σk, d/H] hold the rows of several samples. Segment i is a
-    (start, stop, valid) row range: query rows qs:qe attend to key rows
-    ks:ke through softmax(q·kᵀ), key rows past ks + valid getting exactly
-    zero weight, then inverted dropout, then ·v. The result [H, Σq, d/H] is
-    packed like the queries. Forward and backward apply matmul's, softmax's
-    and dropout's own rules to each segment, in segment order, so the
-    dropout draws and every float are those of the per-segment composition.
-    Each segment's [H x q x k] pre-dropout weights are appended to
-    `weights` when it is a list.
+    queries [Σq × d], keys and values [Σk × d] hold the rows of several
+    samples. The core owns the head layout: it splits the rows into `heads`
+    heads [H × rows × d/H], scales the queries by `scale` and merges the
+    result back into [Σq × d]. Segment i is a (start, stop, valid) row range:
+    query rows qs:qe attend to key rows ks:ke through softmax(q·kᵀ), key rows
+    past ks + valid getting exactly zero weight, then inverted dropout, then
+    ·v. Forward and backward apply the reshape, transpose, scale, matmul,
+    softmax and dropout rules in that composition's order, segment by
+    segment, so the dropout draws and every float are its own. Each segment's
+    [H × q × k] pre-dropout weights are appended to `weights` if it is a list.
     """
-    if not (queries.ndim == keys_t.ndim == values.ndim == 3) or (
-        queries.shape[::2] != keys_t.shape[:2] or keys_t.shape[::2] != values.shape[:2]
-    ):
+    if (queries.ndim != 2 or queries.shape[1:] != keys.shape[1:]
+            or keys.shape != values.shape or keys.shape[1] % heads):
         raise ShapeError(
-            f"attention_core: queries {queries.shape}, keys_t {keys_t.shape} "
-            f"and values {values.shape} do not fit [H,q,e] / [H,e,k] / [H,k,e]"
+            f"attention_core: queries {queries.shape}, keys {keys.shape} and values "
+            f"{values.shape} do not fit [q,d] / [k,d] / [k,d], d a multiple of {heads}"
         )
-    parents = (queries, keys_t, values)
+    (n_q, d), e, s = queries.shape, queries.shape[1] // heads, float(scale)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return np.transpose(x.reshape((x.shape[0], heads, e)), (1, 0, 2))
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return np.transpose(x, (1, 0, 2)).reshape((x.shape[1], d))
+
+    q, v = split(queries.data) * s, split(values.data)
+    k_t = np.transpose(split(keys.data), (0, 2, 1))
+    parents = (queries, keys, values)
     tracked = _tracked(parents)
-    out = np.zeros(
-        (queries.shape[0], queries.shape[1], values.shape[2]),
-        dtype=np.result_type(queries.data, keys_t.data, values.data),
-    )
+    out = np.zeros((heads, n_q, e), dtype=np.result_type(q, k_t, v))
     saved = []  # (weights, keep mask, dropped weights) per segment, for backward
     for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
-        scores = queries.data[:, qs:qe] @ keys_t.data[:, :, ks:ke]
+        scores = q[:, qs:qe] @ k_t[:, :, ks:ke]
         scores[..., valid:] = -np.inf
         w = _softmax_forward(scores, -1)
         keep = _keep_mask(w.shape, w.dtype, p, rng, training)
         dropped = w if keep is None else w * keep
-        out[:, qs:qe] = dropped @ values.data[:, ks:ke]
+        out[:, qs:qe] = dropped @ v[:, ks:ke]
         if tracked:
             saved.append((w, keep, dropped))
         if weights is not None:
             weights.append(Tensor(w))
 
     def backward(g):
-        gq, gk, gv = (
-            np.zeros_like(t.data) if t.requires_grad else None
-            for t in parents
-        )
+        g = split(g)
+        gq, gk_t, gv = np.zeros_like(q), np.zeros_like(k_t), np.zeros_like(v)
         for (qs, qe, _), (ks, ke, _), (w, keep, dropped) in zip(
             query_segs, key_segs, saved
         ):
             g_seg = g[:, qs:qe]
-            if gv is not None:
-                gv[:, ks:ke] = dropped.swapaxes(-1, -2) @ g_seg
-            if gq is None and gk is None:
-                continue
-            gw = g_seg @ values.data[:, ks:ke].swapaxes(-1, -2)
+            gv[:, ks:ke] = dropped.swapaxes(-1, -2) @ g_seg
+            gw = g_seg @ v[:, ks:ke].swapaxes(-1, -2)
             if keep is not None:
                 gw = gw * keep
             gs = _softmax_backward(w, gw, -1)
-            if gq is not None:
-                gq[:, qs:qe] = gs @ keys_t.data[:, :, ks:ke].swapaxes(-1, -2)
-            if gk is not None:
-                gk[:, :, ks:ke] = queries.data[:, qs:qe].swapaxes(-1, -2) @ gs
-        return gq, gk, gv
+            gq[:, qs:qe] = gs @ k_t[:, :, ks:ke].swapaxes(-1, -2)
+            gk_t[:, :, ks:ke] = q[:, qs:qe].swapaxes(-1, -2) @ gs
+        return merge(gq * s), merge(np.transpose(gk_t, (0, 2, 1))), merge(gv)
 
-    return _make(out, parents, backward)
+    return _make(merge(out), parents, backward)
 
 
 # -- shape and reduction ops --------------------------------------------------

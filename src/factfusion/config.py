@@ -7,8 +7,8 @@ defaults, then a JSON config file, then explicit command-line flags.
 The stock pairing d=256 / heads=12 is kept verbatim for auditing even though
 256 is not divisible by 12: head-split attention cannot realize it, so
 building a model with it fails. Construction-time validation therefore
-checks ranges only; the divisibility constraint is enforced where a model is
-actually assembled.
+checks types and ranges only; the divisibility constraint is enforced where a
+model is actually assembled.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from typing import Optional
 
 from .embedding import TAIL_MODES
 from .fusion import AGGREGATIONS
+
+# The value types each field annotation accepts; bool only where it says bool.
+_ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+            "Optional[str]": (str, type(None))}
 
 
 @dataclass
@@ -52,6 +56,12 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _ACCEPTS[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.d < 1 or self.heads < 1 or self.d_m < 1 or self.ff_inner < 1:
             raise ValueError("d, heads, d_m and ff_inner must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -67,7 +77,7 @@ class RunConfig:
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.adapter_scope not in TAIL_MODES:
-            raise ValueError(f"unknown adapter scope {self.adapter_scope!r}")
+            raise ValueError(f"unknown adapter_scope {self.adapter_scope!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -18,6 +18,7 @@ parameters they blend bit-for-bit identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -99,22 +100,25 @@ class ProbMatrix:
             raise ValueError(f"{path}: empty probability file")
         header = lines[0].rsplit(",", 1)
         if len(header) != 2:
-            raise ValueError(f"{path}: malformed header {lines[0]!r}")
-        model_id, declared = header[0], int(header[1])
-        ids, rows = [], []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 1 + N_CLASSES:
-                raise ValueError(f"{path}: malformed row {line!r}")
-            ids.append(parts[0])
-            rows.append([float(p) for p in parts[1:]])
+            raise ValueError(f"{path}:1: malformed header {lines[0]!r}")
+        ids, rows, number = [], [], 1
+        try:
+            declared = int(header[1])
+            for number, line in enumerate(lines[1:], start=2):
+                if not line.strip():
+                    continue
+                parts = line.split(",")
+                if len(parts) != 1 + N_CLASSES:
+                    raise ValueError(f"malformed row {line!r}")
+                ids.append(parts[0])
+                rows.append([float(p) for p in parts[1:]])
+        except ValueError as err:
+            raise ValueError(f"{path}:{number}: {err}") from None
         if len(rows) != declared:
             raise ValueError(
                 f"{path}: header declares {declared} samples, found {len(rows)}"
             )
-        return cls(model_id=model_id, sample_ids=ids, probs=np.array(rows))
+        return cls(model_id=header[0], sample_ids=ids, probs=np.array(rows))
 
 
 def _check_aligned(mats: Sequence[ProbMatrix]) -> None:
@@ -150,8 +154,8 @@ class EnsembleSpec:
                 f"need matching non-empty weights/powers, got "
                 f"{len(self.weights)} and {len(self.powers)}"
             )
-        if min(self.weights) <= 0 or min(self.powers) <= 0:
-            raise ValueError("weights and powers must be positive")
+        if not all(0.0 < v < math.inf for v in self.weights + self.powers):  # NaN fails
+            raise ValueError("weights and powers must be positive and finite")
         if self.variant in ("average", "weighted") and any(
             p != 1.0 for p in self.powers
         ):
@@ -181,30 +185,39 @@ class EnsembleSpec:
 
     @classmethod
     def load(cls, path) -> "EnsembleSpec":
-        kv = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        kv = {}  # key -> (value, line number)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: malformed line {line!r}")
+                raise ValueError(f"{path}:{number}: malformed line {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key in kv:
-                raise ValueError(f"{path}: repeated key {key!r}")
-            kv[key] = value
+                raise ValueError(f"{path}:{number}: repeated key {key!r}")
+            kv[key] = (value, number)
+
+        def parse(key: str, kind):
+            value, number = kv[key]
+            try:
+                return kind(value)
+            except ValueError as err:
+                raise ValueError(f"{path}:{number}: bad {key} ({err})") from None
+
         try:
-            m = int(kv["models"])
+            m = parse("models", int)
             spec = cls(
-                variant=kv["variant"],
-                weights=tuple(float(kv[f"w{i}"]) for i in range(1, m + 1)),
-                powers=tuple(float(kv[f"n{i}"]) for i in range(1, m + 1)),
+                variant=kv["variant"][0],
+                weights=tuple(parse(f"w{i}", float) for i in range(1, m + 1)),
+                powers=tuple(parse(f"n{i}", float) for i in range(1, m + 1)),
             )
         except KeyError as missing:
             raise ValueError(f"{path}: missing key {missing}") from None
         read = [f"{c}{i}" for c in "wn" for i in range(1, m + 1)]  # all in kv: 2m <= len(kv)
         unknown = sorted(kv.keys() - {"variant", "models", "achieved_f1", *read})
         if unknown:
-            raise ValueError(f"{path}: unexpected key {unknown[0]!r}")
+            raise ValueError(f"{path}:{kv[unknown[0]][1]}: unexpected key {unknown[0]!r}")
         return spec
 
 

@@ -15,9 +15,11 @@ packed into one [sum(rows) x d] tensor plus the per-sample row counts.
 Everything position-wise (projections, feed-forward, layer norms, pooling)
 runs once on the packed rows; only the attention core works per sample, on
 that sample's row ranges, so no padding or key mask is needed. That core is
-one autograd node per direction (autograd.attention_core). A single
-unpacked sample may instead be padded, with a_len/b_len/lengths marking its
-valid prefix; masked key positions then receive exactly zero attention.
+one autograd node per direction (autograd.attention_core), which takes the
+packed [rows x d] Q/K/V and owns the head split, query scaling and head
+merge. A single unpacked sample may instead be padded, with a_len/b_len/
+lengths marking its valid prefix; masked key positions then receive exactly
+zero attention.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .autograd import (
     matmul,
     relu,
     reshape,
-    transpose,
 )
 from .data import STREAMS as STREAM_ORDER
 from .embedding import glorot_uniform
@@ -93,14 +94,13 @@ class CoAttentionBlock:
         dtype=np.float32,
     ):
         if d % heads != 0:
-            raise ValueError(f"model width {d} not divisible by {heads} heads")
+            raise ValueError(f"model width {d} must be a multiple of heads={heads}")
         self.d = d
         self.heads = heads
-        self.head_dim = d // heads
         self.dropout_rate = dropout_rate
         # Per-head scores scale by 1/sqrt(d/h); the flag switches to the
         # single-head 1/sqrt(d) convention.
-        self.scale = 1.0 / np.sqrt(d if full_width_scaling else self.head_dim)
+        self.scale = 1.0 / np.sqrt(d if full_width_scaling else d // heads)
         self.Wq = Tensor.param(glorot_uniform(rng, d, d, dtype))
         self.Wk = Tensor.param(glorot_uniform(rng, d, d, dtype))
         self.Wv = Tensor.param(glorot_uniform(rng, d, d, dtype))
@@ -112,21 +112,6 @@ class CoAttentionBlock:
         self.norm1_bias = Tensor.param(np.zeros(d, dtype=dtype))
         self.norm2_gain = Tensor.param(np.ones(d, dtype=dtype))
         self.norm2_bias = Tensor.param(np.zeros(d, dtype=dtype))
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        seq = x.shape[0]
-        return transpose(reshape(x, (seq, self.heads, self.head_dim)), (1, 0, 2))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        seq = x.shape[1]
-        return reshape(transpose(x, (1, 0, 2)), (seq, self.d))
-
-    def _project(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Scaled queries [H, n, d/H], transposed keys [H, d/H, n], values [H, n, d/H]."""
-        q = self._split_heads(matmul(x, self.Wq)) * self.scale
-        k = transpose(self._split_heads(matmul(x, self.Wk)), (0, 2, 1))
-        v = self._split_heads(matmul(x, self.Wv))
-        return q, k, v
 
     def _sublayers(
         self,
@@ -177,16 +162,12 @@ class CoAttentionBlock:
             raise ShapeError(
                 f"co_attend: {len(segs_a)} samples in a but {len(segs_b)} in b"
             )
-        qa, ka, va = self._project(a)
-        qb, kb, vb = self._project(b)
+        qa, ka, va = (matmul(a, W) for W in (self.Wq, self.Wk, self.Wv))
+        qb, kb, vb = (matmul(b, W) for W in (self.Wq, self.Wk, self.Wv))
         w_ab, w_ba = ([], []) if return_weights else (None, None)
-        p = self.dropout_rate
-        ctx_ab = self._merge_heads(
-            attention_core(qa, kb, vb, segs_a, segs_b, p, rng, training, w_ab)
-        )
-        ctx_ba = self._merge_heads(
-            attention_core(qb, ka, va, segs_b, segs_a, p, rng, training, w_ba)
-        )
+        h, s, p = self.heads, self.scale, self.dropout_rate
+        ctx_ab = attention_core(qa, kb, vb, h, s, segs_a, segs_b, p, rng, training, w_ab)
+        ctx_ba = attention_core(qb, ka, va, h, s, segs_b, segs_a, p, rng, training, w_ba)
         out_ab = self._sublayers(a, ctx_ab, training, rng)
         out_ba = self._sublayers(b, ctx_ba, training, rng)
         if not return_weights:

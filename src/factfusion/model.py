@@ -44,13 +44,6 @@ class VerificationModel:
     ):
         self.config = config
         self.backbone_dim = backbone_dim
-        # The stock d=256 / heads=12 pairing passes range validation so it
-        # can be printed and audited, but no model can be built from it.
-        if config.d % config.heads != 0:
-            raise ValueError(
-                f"model width {config.d} must be a positive multiple of "
-                f"heads={config.heads}"
-            )
         if rng is None:
             rng = np.random.default_rng(config.seed)
         self.streams = TEXT_STREAMS if config.text_only else STREAM_ORDER
@@ -206,7 +199,7 @@ class VerificationModel:
             stored.pop("checkpoint", None)  # a removed field, null in older files
         try:
             config = RunConfig(**stored)
-        except TypeError as err:
+        except (TypeError, ValueError) as err:
             raise FormatError(f"{path}: no valid config in the metadata ({err})") from None
         embed = entries.get("embed.CT.W")
         if embed is None or embed.ndim != 2:

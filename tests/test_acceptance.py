@@ -167,15 +167,16 @@ def _op_cases(rng):
     fancy = np.array([0, 0, 2])
     case(lambda: gf[fancy], {"fancy_index.x": gf})
 
-    # Two packed samples; the first one's last key row is padding.
-    aq, ak, av = _p(rng, 2, 5, 3), _p(rng, 2, 3, 6), _p(rng, 2, 6, 3)
+    # Two packed samples in two heads; the first one's last key row is padding.
+    aq, ak, av = _p(rng, 5, 6), _p(rng, 6, 6), _p(rng, 6, 6)
     att_seed = int(rng.integers(1 << 30))
     q_segs, k_segs = ((0, 2, 2), (2, 5, 3)), ((0, 4, 3), (4, 6, 2))
     case(
         lambda: ag.attention_core(
-            aq, ak, av, q_segs, k_segs, 0.3, np.random.default_rng(att_seed), True
+            aq, ak, av, 2, 0.6, q_segs, k_segs, 0.3,
+            np.random.default_rng(att_seed), True,
         ),
-        {"attention.q": aq, "attention.k_t": ak, "attention.v": av},
+        {"attention.q": aq, "attention.k": ak, "attention.v": av},
     )
     return cases
 

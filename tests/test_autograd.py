@@ -302,20 +302,31 @@ def packed_segments(rows, valid=None):
     return tuple((int(e - r), int(e), int(v)) for r, e, v in zip(rows, stops, valid))
 
 
-def attention_reference(queries, keys_t, values, query_segs, key_segs, p, rng, training):
-    """attention_core composed from primitive ops, one small graph per segment."""
+def attention_reference(
+    queries, keys, values, heads, factor, query_segs, key_segs, p, rng, training
+):
+    """attention_core composed from primitive ops: a head split, one small
+    graph per segment, and a head merge."""
+
+    def split(x):
+        n, d = x.shape
+        return transpose(reshape(x, (n, heads, d // heads)), (1, 0, 2))
+
+    q = scale(split(queries), factor)
+    k_t = transpose(split(keys), (0, 2, 1))
+    v = split(values)
     contexts = []
     for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
-        scores = matmul(getitem(queries, (slice(None), slice(qs, qe))),
-                        getitem(keys_t, (slice(None), slice(None), slice(ks, ke))))
+        scores = matmul(getitem(q, (slice(None), slice(qs, qe))),
+                        getitem(k_t, (slice(None), slice(None), slice(ks, ke))))
         if valid < ke - ks:
             mask = np.zeros((1, 1, ke - ks), dtype=scores.dtype)
             mask[..., valid:] = -np.inf
             scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
         w = softmax(scores, axis=-1)
         dropped = dropout(w, p, rng=rng, training=training)
-        contexts.append(matmul(dropped, getitem(values, (slice(None), slice(ks, ke)))))
-    return concat(contexts, axis=1)
+        contexts.append(matmul(dropped, getitem(v, (slice(None), slice(ks, ke)))))
+    return reshape(transpose(concat(contexts, axis=1), (1, 0, 2)), queries.shape)
 
 
 class TestAttentionCore:
@@ -333,39 +344,49 @@ class TestAttentionCore:
         q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
         rng = np.random.default_rng(4)
         heads, width = 2, 3
+        d = heads * width
         inputs = [
-            rng.standard_normal((heads, sum(q_rows), width)).astype(np.float32),
-            rng.standard_normal((heads, width, sum(k_rows))).astype(np.float32),
-            rng.standard_normal((heads, sum(k_rows), width)).astype(np.float32),
+            rng.standard_normal((sum(rows), d)).astype(np.float32)
+            for rows in (q_rows, k_rows, k_rows)
         ]
         readout = Tensor.constant(
-            rng.standard_normal((heads, sum(q_rows), width)).astype(np.float32)
+            rng.standard_normal((sum(q_rows), d)).astype(np.float32)
         )
+        factor = 1.0 / np.sqrt(width)
 
         def run(op):
             q, k, v = (Tensor.param(x.copy()) for x in inputs)
-            out = op(q, k, v, q_segs, k_segs, 0.3, np.random.default_rng(9), training)
+            out = op(
+                q, k, v, heads, factor, q_segs, k_segs, 0.3,
+                np.random.default_rng(9), training,
+            )
             tensor_sum(out * readout).backward()
             return out.data, q.grad, k.grad, v.grad
 
         weights = []
         got = run(lambda *args: attention_core(*args, weights=weights))
         want = run(attention_reference)
-        for name, g, w in zip(("context", "dq", "dk_t", "dv"), got, want):
+        for name, g, w in zip(("context", "dq", "dk", "dv"), got, want):
             assert g.dtype == np.float32, name
             assert np.array_equal(g, w), name
+        assert [g.shape for g in got] == [x.shape for x in inputs[:1] + inputs]
         assert len(weights) == len(q_rows)
         for w, (qs, qe, _), (ks, ke, v) in zip(weights, q_segs, k_segs):
             assert w.shape == (heads, qe - qs, ke - ks)
             assert np.all(w.data[..., v:] == 0.0)
 
     def test_mismatched_shapes_raise(self):
-        q = Tensor.constant(np.zeros((2, 4, 3)))
-        k = Tensor.constant(np.zeros((2, 4, 5)))
-        v = Tensor.constant(np.zeros((2, 5, 3)))
-        segs = packed_segments((4,))
-        with pytest.raises(ShapeError, match="attention_core"):
-            attention_core(q, k, v, segs, packed_segments((5,)), 0.0, None, False)
+        cases = [
+            (((4, 6), (5, 6), (4, 6)), 2),  # keys and values differ in rows
+            (((4, 6), (5, 4), (5, 4)), 2),  # queries and keys differ in width
+            (((4, 6), (5, 6), (5, 6)), 4),  # width not divisible by heads
+            (((2, 4, 3), (2, 3, 5), (2, 5, 3)), 2),  # heads already split
+        ]
+        for shapes, heads in cases:
+            q, k, v = (Tensor.constant(np.zeros(shape)) for shape in shapes)
+            q_segs, k_segs = packed_segments((q.shape[0],)), packed_segments((k.shape[0],))
+            with pytest.raises(ShapeError, match="attention_core"):
+                attention_core(q, k, v, heads, 1.0, q_segs, k_segs, 0.0, None, False)
 
 
 class TestReluTaps:

@@ -242,6 +242,13 @@ class TestErrorContract:
         code, _, err = run_cli(capsys, "print-config", "--dropout", "1.5")
         assert code == 1 and err.startswith("error:")
 
+    def test_config_file_value_of_wrong_type_rejected(self, capsys, tmp_path):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"text_only": "false"}))
+        code, out, err = run_cli(capsys, "print-config", "--config", str(cfile))
+        assert code == 1 and out == ""
+        assert err == "error: text_only must be of type bool, got 'false'\n"
+
     def test_unbuildable_dims_still_print(self, capsys):
         # d=256 with 7 heads is printable for audit; building a model from
         # it fails later with a divisibility error.

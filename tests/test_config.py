@@ -59,15 +59,35 @@ class TestValidation:
             ("tail_learning_rate", float("inf")),
             ("aggregation", "median"),
             ("adapter_scope", "everything"),
+            # Wrong types: int fields take int but not bool, float fields
+            # int or float but not bool, bool fields bool only, str fields
+            # str, and the manifest fields str or None.
+            ("epochs", 2.5),
+            ("seed", 1.5),
+            ("d", True),
+            ("batch_size", "24"),
+            ("dropout", False),
+            ("learning_rate", "5e-5"),
+            ("text_only", "false"),
+            ("full_width_scaling", 1),
+            ("tail_text_streams", None),
+            ("aggregation", None),
+            ("out_dir", 3),
+            ("train_manifest", 1),
+            ("val_manifest", True),
         ],
     )
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
     def test_alpha_bounds_inclusive(self):
         RunConfig(alpha=0.0)
         RunConfig(alpha=1.0)
+
+    def test_float_fields_take_ints_and_manifests_take_none(self):
+        cfg = RunConfig(alpha=1, tau=2, learning_rate=1, train_manifest=None)
+        assert cfg.alpha == 1 and cfg.train_manifest is None
 
 
 class TestOverrides:

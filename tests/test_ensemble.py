@@ -1,5 +1,7 @@
 """Power-weighted ensembling: frozen blend oracle, variant lattice, tuner."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -117,6 +119,18 @@ class TestProbMatrix:
         with pytest.raises(ValueError, match="malformed row"):
             ProbMatrix.load(path)
 
+    def test_load_names_line_of_unparsable_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("m,2\ns0,0.2,0.2,0.2,0.2,0.2\n\ns1,0.2,0.2,x,0.2,0.2\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: .*'x'"):
+            ProbMatrix.load(path)
+
+    def test_load_names_line_of_unparsable_count(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("m,two\ns0,0.2,0.2,0.2,0.2,0.2\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: .*'two'"):
+            ProbMatrix.load(path)
+
 
 class TestEnsembleSpec:
     def test_variant_constraints(self):
@@ -131,6 +145,14 @@ class TestEnsembleSpec:
     def test_positivity(self):
         with pytest.raises(ValueError, match="positive"):
             EnsembleSpec("unified", (0.0, 1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["weights", "powers"])
+    def test_rejects_non_finite(self, field, bad):
+        values = {"weights": (0.5, 0.5), "powers": (1.0, 1.0)}
+        values[field] = (bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpec("unified", **values)
 
     def test_average_factory(self):
         spec = EnsembleSpec.average(4)
@@ -168,6 +190,24 @@ class TestEnsembleSpec:
             "n1 = 1\nn2 = 1\n# comment\n\nachieved_f1 = 0.5\n" + extra
         )
         with pytest.raises(ValueError, match=f"'{key}'"):
+            EnsembleSpec.load(path)
+
+    @pytest.mark.parametrize("key", ["w1", "n2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_load_rejects_non_finite(self, tmp_path, key, value):
+        path = tmp_path / "spec.cfg"
+        values = {"w1": "0.5", "w2": "0.5", "n1": "1", "n2": "1", key: value}
+        path.write_text(
+            "variant = unified\nmodels = 2\n"
+            + "".join(f"{k} = {v}\n" for k, v in values.items())
+        )
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpec.load(path)
+
+    def test_load_names_line_of_unparsable_count(self, tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text("variant = unified\n# two models\nmodels = 1.5\nw1 = 1\nn1 = 1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: .*'1.5'"):
             EnsembleSpec.load(path)
 
     def test_load_missing_key(self, tmp_path):

@@ -158,6 +158,12 @@ class TestGraphSize:
     def test_node_count_does_not_grow_with_samples(self):
         assert self.nodes(2) == self.nodes(7)
 
+    def test_head_layout_adds_no_nodes(self):
+        # 2 inputs + 11 parameters + 6 Q/K/V projections + 2 attention cores
+        # + 2 x 11 residual/feed-forward/norm ops: the head split, query
+        # scaling and head merge all live inside the attention core node.
+        assert self.nodes(3) == 43
+
 
 class TestAggregate:
     def test_mean(self):

@@ -190,7 +190,13 @@ class TestCheckpoint:
             VerificationModel.from_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "meta", [{}, {"config": [1, 2]}, {"config": {"d": 16, "depth": 3}}]
+        "meta",
+        [
+            {},
+            {"config": [1, 2]},
+            {"config": {"d": 16, "depth": 3}},
+            {"config": {"d": 16, "heads": 2, "text_only": "false"}},
+        ],
     )
     def test_metadata_without_valid_config_rejected(self, tmp_path, meta):
         model = make_model(text_only=True)
