@@ -417,34 +417,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 def _keep_mask(
-    shape: tuple,
-    dtype,
-    p: float,
-    rng: Optional[np.random.Generator],
-    training: bool,
+    shape: tuple, dtype, p: float, rng: Optional[np.random.Generator]
 ) -> Optional[np.ndarray]:
     """Inverted-dropout multiplier drawn from rng; None when dropout is the identity."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0 or not training:
+    if p == 0.0 or rng is None:
         return None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng")
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
-def dropout(
-    x: Tensor,
-    p: float,
-    rng: Optional[np.random.Generator] = None,
-    training: bool = True,
-) -> Tensor:
-    """Inverted dropout; identity when p == 0 or not training.
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout drawn from rng; the identity when p == 0 or rng is None.
 
-    Training-mode dropout draws its mask from rng, which must be given, so
-    every mask comes from an explicitly seeded generator.
+    The generator is the dropout mode: training passes its seeded generator,
+    inference passes none, so every mask comes from an explicitly seeded rng.
     """
-    keep = _keep_mask(x.shape, x.dtype, p, rng, training)
+    keep = _keep_mask(x.shape, x.dtype, p, rng)
     if keep is None:
         return x
 
@@ -464,7 +453,6 @@ def attention_core(
     key_segs: Sequence[tuple],
     p: float,
     rng: Optional[np.random.Generator],
-    training: bool,
     weights: Optional[list] = None,
 ) -> Tensor:
     """Segment-wise multi-head attention over packed rows, as one graph node.
@@ -474,8 +462,8 @@ def attention_core(
     heads [H × rows × d/H], scales the queries by `scale` and merges the
     result back into [Σq × d]. Segment i is a (start, stop, valid) row range:
     query rows qs:qe attend to key rows ks:ke through softmax(q·kᵀ), key rows
-    past ks + valid getting exactly zero weight, then inverted dropout, then
-    ·v. Forward and backward apply the reshape, transpose, scale, matmul,
+    past ks + valid getting exactly zero weight, then inverted dropout (drawn
+    from rng; none without one), then ·v. Forward and backward apply the reshape, transpose, scale, matmul,
     softmax and dropout rules in that composition's order, segment by
     segment, so the dropout draws and every float are its own. Each segment's
     [H × q × k] pre-dropout weights are appended to `weights` if it is a list.
@@ -504,7 +492,7 @@ def attention_core(
         scores = q[:, qs:qe] @ k_t[:, :, ks:ke]
         scores[..., valid:] = -np.inf
         w = _softmax_forward(scores, -1)
-        keep = _keep_mask(w.shape, w.dtype, p, rng, training)
+        keep = _keep_mask(w.shape, w.dtype, p, rng)
         dropped = w if keep is None else w * keep
         out[:, qs:qe] = dropped @ v[:, ks:ke]
         if tracked:

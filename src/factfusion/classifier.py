@@ -75,17 +75,15 @@ class ClassifierHead:
         self.Wz2 = Tensor.param(glorot_uniform(rng, hidden_dim, n_classes, dtype))
 
     def __call__(
-        self,
-        x: Tensor,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        self, x: Tensor, rng: Optional[np.random.Generator] = None
     ) -> tuple[Tensor, Tensor]:
+        """Class probabilities and hidden states; dropout draws from rng if given."""
         if x.shape[-1] != self.in_dim:
             raise ShapeError(
                 f"classifier expected width {self.in_dim}, got {x.shape}"
             )
         hidden = relu(matmul(x, self.Wz1))
-        hidden = dropout(hidden, self.dropout_rate, rng=rng, training=training)
+        hidden = dropout(hidden, self.dropout_rate, rng)
         probs = softmax(matmul(hidden, self.Wz2), axis=-1)
         return probs, hidden
 

@@ -7,8 +7,10 @@ Fixed pairing order (claim/document x image/text):
 
 Each block holds ONE set of Q/K/V projections, feed-forward weights and two
 layer norms, reused for both attention directions. Fusing four streams yields
-12 mean-aggregated context vectors (two directions per pairing) plus the 4
-mean-aggregated stream embeddings, concatenated downstream in that order.
+12 context vectors (two directions per pairing) plus the 4 stream embeddings,
+each pooled by the aggregation the stack is built with (mean, or mean|max|
+last) and concatenated downstream in that order. Dropout runs exactly where
+a generator is passed: training hands its seeded rng down, inference none.
 
 A whole batch fuses in one pass: each stream arrives as its samples' rows
 packed into one [sum(rows) x d] tensor plus the per-sample row counts.
@@ -114,17 +116,13 @@ class CoAttentionBlock:
         self.norm2_bias = Tensor.param(np.zeros(d, dtype=dtype))
 
     def _sublayers(
-        self,
-        residual: Tensor,
-        context: Tensor,
-        training: bool,
-        rng: Optional[np.random.Generator],
+        self, residual: Tensor, context: Tensor, rng: Optional[np.random.Generator]
     ) -> Tensor:
         z = layer_norm(add(residual, context), self.norm1_gain, self.norm1_bias)
         h = relu(add(matmul(z, self.ffn_W1), self.ffn_b1))
-        h = dropout(h, self.dropout_rate, rng=rng, training=training)
+        h = dropout(h, self.dropout_rate, rng)
         f = add(matmul(h, self.ffn_W2), self.ffn_b2)
-        f = dropout(f, self.dropout_rate, rng=rng, training=training)
+        f = dropout(f, self.dropout_rate, rng)
         return layer_norm(add(f, z), self.norm2_gain, self.norm2_bias)
 
     def co_attend(
@@ -133,7 +131,6 @@ class CoAttentionBlock:
         b: Tensor,
         a_len: Optional[int] = None,
         b_len: Optional[int] = None,
-        training: bool = False,
         rng: Optional[np.random.Generator] = None,
         return_weights: bool = False,
         a_rows: Optional[Sequence[int]] = None,
@@ -145,7 +142,8 @@ class CoAttentionBlock:
         O_ba the reverse, each with its query input's rows. a_rows/b_rows
         give the per-sample row counts of packed inputs (sample i of a
         attends only to sample i of b); without them a and b are one sample,
-        and a_len/b_len mark the valid prefix when they are padded.
+        and a_len/b_len mark the valid prefix when they are padded. Dropout
+        draws from rng; without one it is off, as at inference.
         return_weights appends the [heads x queries x keys] attention
         weights of each direction, as constants: one tensor for a single
         sample, a per-sample list for packed inputs.
@@ -166,10 +164,10 @@ class CoAttentionBlock:
         qb, kb, vb = (matmul(b, W) for W in (self.Wq, self.Wk, self.Wv))
         w_ab, w_ba = ([], []) if return_weights else (None, None)
         h, s, p = self.heads, self.scale, self.dropout_rate
-        ctx_ab = attention_core(qa, kb, vb, h, s, segs_a, segs_b, p, rng, training, w_ab)
-        ctx_ba = attention_core(qb, ka, va, h, s, segs_b, segs_a, p, rng, training, w_ba)
-        out_ab = self._sublayers(a, ctx_ab, training, rng)
-        out_ba = self._sublayers(b, ctx_ba, training, rng)
+        ctx_ab = attention_core(qa, kb, vb, h, s, segs_a, segs_b, p, rng, w_ab)
+        ctx_ba = attention_core(qb, ka, va, h, s, segs_b, segs_a, p, rng, w_ba)
+        out_ab = self._sublayers(a, ctx_ab, rng)
+        out_ba = self._sublayers(b, ctx_ba, rng)
         if not return_weights:
             return out_ab, out_ba
         if a_rows is None:
@@ -246,9 +244,13 @@ class FusionStack:
         dropout_rate: float = 0.1,
         full_width_scaling: bool = False,
         streams: Sequence[str] = STREAM_ORDER,
+        aggregation: str = "mean",
         dtype=np.float32,
     ):
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {aggregation!r}")
         self.d = d
+        self.aggregation = aggregation
         self.streams = tuple(streams)
         self.pairings = tuple(
             (i, pair) for i, pair in enumerate(PAIRINGS)
@@ -265,24 +267,21 @@ class FusionStack:
         self,
         embedded: dict[str, Tensor],
         lengths: Optional[dict[str, int]] = None,
-        training: bool = False,
         rng: Optional[np.random.Generator] = None,
-        aggregation: str = "mean",
         rows: Optional[dict[str, Sequence[int]]] = None,
     ) -> FusionOutput:
         """Fuse one sample (optionally padded to `lengths`) or a packed batch.
 
         With rows (per stream, the row count of each packed sample) the
         outputs are [B x w]; without it they are vectors of one sample.
+        Dropout draws from rng; without one it is off.
         """
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {aggregation!r}")
         lengths = lengths or {}
 
         def summarize(x: Tensor, stream: str) -> Tensor:
             if rows:
-                return _pool(x, _segments(x.shape[0], rows[stream]), aggregation)
-            return aggregate(x, lengths.get(stream), aggregation)
+                return _pool(x, _segments(x.shape[0], rows[stream]), self.aggregation)
+            return aggregate(x, lengths.get(stream), self.aggregation)
 
         contexts = []
         for i, (sa, sb) in self.pairings:
@@ -291,7 +290,6 @@ class FusionStack:
                 embedded[sb],
                 a_len=lengths.get(sa),
                 b_len=lengths.get(sb),
-                training=training,
                 rng=rng,
                 a_rows=rows[sa] if rows else None,
                 b_rows=rows[sb] if rows else None,
@@ -301,8 +299,8 @@ class FusionStack:
         streams = [summarize(embedded[s], s) for s in STREAM_ORDER if s in self.streams]
         return FusionOutput(contexts=contexts, streams=streams)
 
-    def vector_width(self, aggregation: str = "mean") -> int:
-        per = self.d if aggregation == "mean" else 3 * self.d
+    def vector_width(self) -> int:
+        per = self.d if self.aggregation == "mean" else 3 * self.d
         return (2 * len(self.pairings) + len(self.streams)) * per
 
     def parameters(self) -> dict[str, Tensor]:

@@ -69,10 +69,11 @@ class VerificationModel:
             dropout_rate=config.dropout,
             full_width_scaling=config.full_width_scaling,
             streams=self.streams,
+            aggregation=config.aggregation,
             dtype=dtype,
         )
         self.feature_dim = FEATURE_DIM if self.use_features else 0
-        self.in_dim = self.fusion.vector_width(config.aggregation) + self.feature_dim
+        self.in_dim = self.fusion.vector_width() + self.feature_dim
         self.head = ClassifierHead(
             self.in_dim, config.d_m, len(LABELS), rng,
             dropout_rate=config.dropout, dtype=dtype,
@@ -89,7 +90,12 @@ class VerificationModel:
 
         Each sample maps stream ids to [rows x backbone_dim] arrays or
         tensors; the row counts may differ between samples and streams.
+        training turns dropout on, drawn from rng, which it then needs;
+        every layer below takes only the generator, None meaning no dropout.
         """
+        if training and rng is None:
+            raise ValueError("training-mode forward_batch needs an explicit dropout rng")
+        rng = rng if training else None
         rows = {s: [sample[s].shape[0] for sample in batch] for s in self.streams}
         embedded = {}
         for s in self.streams:
@@ -97,13 +103,7 @@ class VerificationModel:
             if s in self.tail_streams:
                 x = self.tail(x)
             embedded[s] = self.embedders[s](x)
-        fused = self.fusion.fuse(
-            embedded,
-            training=training,
-            rng=rng,
-            aggregation=self.config.aggregation,
-            rows=rows,
-        )
+        fused = self.fusion.fuse(embedded, rng=rng, rows=rows)
         vec = fused.concatenated()
         if self.use_features:
             if features is None:
@@ -112,7 +112,7 @@ class VerificationModel:
                 )
             feat = Tensor.constant(np.asarray(features), dtype=vec.dtype)
             vec = concat([vec, feat], axis=1)
-        return self.head(vec, training=training, rng=rng)
+        return self.head(vec, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         out = dict(self.tail.parameters()) if self.tail is not None else {}

@@ -128,9 +128,7 @@ def _op_cases(rng):
     dr = _p(rng, 4, 4)
     mask_seed = int(rng.integers(1 << 30))
     case(
-        lambda: ag.dropout(
-            dr, 0.3, rng=np.random.default_rng(mask_seed), training=True
-        ),
+        lambda: ag.dropout(dr, 0.3, rng=np.random.default_rng(mask_seed)),
         {"dropout.x": dr},
     )
 
@@ -174,7 +172,7 @@ def _op_cases(rng):
     case(
         lambda: ag.attention_core(
             aq, ak, av, 2, 0.6, q_segs, k_segs, 0.3,
-            np.random.default_rng(att_seed), True,
+            np.random.default_rng(att_seed),
         ),
         {"attention.q": aq, "attention.k": ak, "attention.v": av},
     )
@@ -267,7 +265,7 @@ def test_criterion_2_fusion_invariants():
             s: Tensor.constant(rng.standard_normal((4, 8)).astype(np.float32))
             for s in ("CT", "CI", "DT", "DI")
         }
-        fused = stack.fuse(embedded, training=False)
+        fused = stack.fuse(embedded)
         assert len(fused.contexts) == 12
         assert len(fused.streams) == 4
         assert len(fused.all_vectors()) == 16

@@ -265,30 +265,25 @@ class TestFiniteDifferences:
 class TestDropout:
     def test_identity_when_eval_or_zero(self, rng):
         x = Tensor.constant(rng.standard_normal((4, 4)))
-        assert dropout(x, 0.5, training=False) is x
-        assert dropout(x, 0.0, rng=rng, training=True) is x
-
-    def test_training_mode_requires_rng(self, rng):
-        x = Tensor.constant(rng.standard_normal((4, 4)))
-        with pytest.raises(ValueError, match="rng"):
-            dropout(x, 0.5, training=True)
+        assert dropout(x, 0.5) is x
+        assert dropout(x, 0.0, rng=rng) is x
 
     def test_inverted_scaling(self):
         x = Tensor.constant(np.ones((200, 50)))
-        out = dropout(x, 0.25, rng=np.random.default_rng(3), training=True)
+        out = dropout(x, 0.25, rng=np.random.default_rng(3))
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75, rtol=1e-6)
         assert 0.70 < kept.size / out.data.size < 0.80
 
     def test_seeded_reproducibility(self):
         x = Tensor.constant(np.ones((8, 8)))
-        a = dropout(x, 0.5, rng=np.random.default_rng(7), training=True)
-        b = dropout(x, 0.5, rng=np.random.default_rng(7), training=True)
+        a = dropout(x, 0.5, rng=np.random.default_rng(7))
+        b = dropout(x, 0.5, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradient_masks_match_forward(self, rng):
         x = Tensor.param(rng.standard_normal((5, 5)), dtype=np.float64)
-        out = dropout(x, 0.4, rng=np.random.default_rng(11), training=True)
+        out = dropout(x, 0.4, rng=np.random.default_rng(11))
         tensor_sum(out).backward()
         mask = out.data != 0
         np.testing.assert_allclose(x.grad[mask], 1.0 / 0.6, rtol=1e-6)
@@ -303,7 +298,7 @@ def packed_segments(rows, valid=None):
 
 
 def attention_reference(
-    queries, keys, values, heads, factor, query_segs, key_segs, p, rng, training
+    queries, keys, values, heads, factor, query_segs, key_segs, p, rng
 ):
     """attention_core composed from primitive ops: a head split, one small
     graph per segment, and a head merge."""
@@ -324,7 +319,7 @@ def attention_reference(
             mask[..., valid:] = -np.inf
             scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
         w = softmax(scores, axis=-1)
-        dropped = dropout(w, p, rng=rng, training=training)
+        dropped = dropout(w, p, rng=rng)
         contexts.append(matmul(dropped, getitem(v, (slice(None), slice(ks, ke)))))
     return reshape(transpose(concat(contexts, axis=1), (1, 0, 2)), queries.shape)
 
@@ -358,7 +353,7 @@ class TestAttentionCore:
             q, k, v = (Tensor.param(x.copy()) for x in inputs)
             out = op(
                 q, k, v, heads, factor, q_segs, k_segs, 0.3,
-                np.random.default_rng(9), training,
+                np.random.default_rng(9) if training else None,
             )
             tensor_sum(out * readout).backward()
             return out.data, q.grad, k.grad, v.grad
@@ -386,7 +381,7 @@ class TestAttentionCore:
             q, k, v = (Tensor.constant(np.zeros(shape)) for shape in shapes)
             q_segs, k_segs = packed_segments((q.shape[0],)), packed_segments((k.shape[0],))
             with pytest.raises(ShapeError, match="attention_core"):
-                attention_core(q, k, v, heads, 1.0, q_segs, k_segs, 0.0, None, False)
+                attention_core(q, k, v, heads, 1.0, q_segs, k_segs, 0.0, None)
 
 
 class TestReluTaps:

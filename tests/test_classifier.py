@@ -67,7 +67,7 @@ class TestClassifierHead:
         head = ClassifierHead(6, 32, 5, np.random.default_rng(0), dropout_rate=0.5)
         x = Tensor.constant(np.random.default_rng(1).standard_normal((2, 6)))
         _, h_eval = head(x)
-        _, h_train = head(x, training=True, rng=np.random.default_rng(2))
+        _, h_train = head(x, rng=np.random.default_rng(2))
         assert (h_train.data == 0).sum() > (h_eval.data == 0).sum()
 
 

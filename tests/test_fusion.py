@@ -113,16 +113,16 @@ class TestDropoutPaths:
     def test_eval_mode_is_deterministic(self):
         b = block(dropout_rate=0.5)
         a_seq, b_seq = seqs()
-        out1, _ = b.co_attend(a_seq, b_seq, training=False)
-        out2, _ = b.co_attend(a_seq, b_seq, training=False)
+        out1, _ = b.co_attend(a_seq, b_seq)
+        out2, _ = b.co_attend(a_seq, b_seq)
         np.testing.assert_array_equal(out1.data, out2.data)
 
     def test_training_mode_uses_rng(self):
         b = block(dropout_rate=0.5)
         a_seq, b_seq = seqs()
-        out1, _ = b.co_attend(a_seq, b_seq, training=True, rng=np.random.default_rng(0))
-        out2, _ = b.co_attend(a_seq, b_seq, training=True, rng=np.random.default_rng(0))
-        out3, _ = b.co_attend(a_seq, b_seq, training=True, rng=np.random.default_rng(9))
+        out1, _ = b.co_attend(a_seq, b_seq, rng=np.random.default_rng(0))
+        out2, _ = b.co_attend(a_seq, b_seq, rng=np.random.default_rng(0))
+        out3, _ = b.co_attend(a_seq, b_seq, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(out1.data, out2.data)
         assert not np.array_equal(out1.data, out3.data)
 
@@ -151,7 +151,7 @@ class TestGraphSize:
             for rows in (a_rows, b_rows)
         )
         out_ab, out_ba = b.co_attend(
-            a_seq, b_seq, training=True, rng=rng, a_rows=a_rows, b_rows=b_rows
+            a_seq, b_seq, rng=rng, a_rows=a_rows, b_rows=b_rows
         )
         return graph_size(out_ab, out_ba)
 
@@ -208,12 +208,17 @@ class TestFusionStack:
 
     def test_concatenated_widths(self):
         stack = FusionStack(8, 2, 16, np.random.default_rng(0))
-        assert stack.vector_width("mean") == 16 * 8
-        assert stack.vector_width("mean_max_last") == 16 * 24
+        wide = FusionStack(8, 2, 16, np.random.default_rng(0), aggregation="mean_max_last")
+        assert stack.vector_width() == 16 * 8
+        assert wide.vector_width() == 16 * 24
         out = stack.fuse(self.make_inputs())
         assert out.concatenated().shape == (128,)
-        out3 = stack.fuse(self.make_inputs(), aggregation="mean_max_last")
+        out3 = wide.fuse(self.make_inputs())
         assert out3.concatenated().shape == (384,)
+
+    def test_unknown_aggregation_raises_at_construction(self):
+        with pytest.raises(ValueError, match="aggregation 'sum'"):
+            FusionStack(8, 2, 16, np.random.default_rng(0), aggregation="sum")
 
     def test_pairing_inventory(self):
         assert PAIRINGS == (
@@ -238,7 +243,7 @@ class TestFusionStack:
         out = stack.fuse(embedded)
         assert len(out.contexts) == 2
         assert len(out.streams) == 2
-        assert stack.vector_width("mean") == 4 * 8
+        assert stack.vector_width() == 4 * 8
 
     def test_parameter_names_use_pairing_index(self):
         stack = FusionStack(8, 2, 16, np.random.default_rng(0))

@@ -105,6 +105,12 @@ class TestForward:
         b, _ = model.forward_batch(batch, feats, training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_training_mode_requires_rng(self):
+        model = make_model(dropout=0.1)
+        batch, feats = fake_batch(model)
+        with pytest.raises(ValueError, match="rng"):
+            model.forward_batch(batch, feats, training=True)
+
     def test_zero_row_stream_rejected(self):
         model = make_model()
         batch, feats = fake_batch(model)
@@ -267,7 +273,7 @@ def per_sample_reference(model, batch, feats):
             if s in model.tail_streams:
                 x = model.tail(x)
             embedded[s] = model.embedders[s](x)
-        fused = model.fusion.fuse(embedded, aggregation=model.config.aggregation)
+        fused = model.fusion.fuse(embedded)
         vec = fused.concatenated()
         if model.use_features:
             vec = concat([vec, Tensor.constant(feats[i])], axis=0)
