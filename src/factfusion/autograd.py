@@ -463,10 +463,11 @@ def attention_core(
     result back into [Σq × d]. Segment i is a (start, stop, valid) row range:
     query rows qs:qe attend to key rows ks:ke through softmax(q·kᵀ), key rows
     past ks + valid getting exactly zero weight, then inverted dropout (drawn
-    from rng; none without one), then ·v. Forward and backward apply the reshape, transpose, scale, matmul,
-    softmax and dropout rules in that composition's order, segment by
-    segment, so the dropout draws and every float are its own. Each segment's
-    [H × q × k] pre-dropout weights are appended to `weights` if it is a list.
+    from rng; none without one), then ·v. Forward and backward apply the
+    reshape, transpose, scale, matmul, softmax and dropout rules in that
+    composition's order, segment by segment, so the dropout draws and every
+    float are its own. Each segment's [H × q × k] pre-dropout weights are
+    appended to `weights` if it is a list.
     """
     if (queries.ndim != 2 or queries.shape[1:] != keys.shape[1:]
             or keys.shape != values.shape or keys.shape[1] % heads):

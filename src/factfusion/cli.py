@@ -68,11 +68,9 @@ def _cmd_extract_features(args) -> int:
     if args.scaler_in:
         scaler = FeatureScaler.load(args.scaler_in)
     elif args.scaler_out:
-        scaler = FeatureScaler.fit(extract_corpus(manifest.records))
+        # Apply the stored copy, so --scaler-in runs reproduce this output.
+        scaler = FeatureScaler.fit(extract_corpus(manifest.records)).as_stored()
         scaler.save(args.scaler_out)
-        # Apply the persisted copy so later --scaler-in runs reproduce this
-        # output byte for byte (the file stores float32).
-        scaler = FeatureScaler.load(args.scaler_out)
     mat = extract_corpus(manifest.records, scaler)
     header = "sample_id," + ",".join(
         f"{field}.{stat}" for field in FIELD_ORDER for stat in STAT_NAMES
@@ -175,8 +173,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("extract-features", help="write feature vectors as CSV")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--scaler-in", help="apply a saved scaler")
-    sp.add_argument("--scaler-out", help="fit a scaler on this corpus and save it")
+    scaling = sp.add_mutually_exclusive_group()
+    scaling.add_argument("--scaler-in", help="apply a saved scaler")
+    scaling.add_argument("--scaler-out", help="fit a scaler on this corpus and save it")
     sp.set_defaults(func=_cmd_extract_features)
 
     sp = sub.add_parser("train", help="train a model from manifests")

@@ -207,13 +207,15 @@ class EnsembleSpec:
 
         try:
             m = parse("models", int)
-            spec = cls(
-                variant=kv["variant"][0],
-                weights=tuple(parse(f"w{i}", float) for i in range(1, m + 1)),
-                powers=tuple(parse(f"n{i}", float) for i in range(1, m + 1)),
-            )
+            variant = kv["variant"][0]
+            weights = tuple(parse(f"w{i}", float) for i in range(1, m + 1))
+            powers = tuple(parse(f"n{i}", float) for i in range(1, m + 1))
         except KeyError as missing:
             raise ValueError(f"{path}: missing key {missing}") from None
+        try:
+            spec = cls(variant=variant, weights=weights, powers=powers)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         read = [f"{c}{i}" for c in "wn" for i in range(1, m + 1)]  # all in kv: 2m <= len(kv)
         unknown = sorted(kv.keys() - {"variant", "models", "achieved_f1", *read})
         if unknown:

@@ -136,6 +136,11 @@ class FeatureScaler:
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return (np.log1p(raw) - self.mean) / self.std
 
+    def as_stored(self) -> "FeatureScaler":
+        """This scaler with mean and std rounded to float32, as save stores them."""
+        rounded = (a.astype(np.float32).astype(np.float64) for a in (self.mean, self.std))
+        return FeatureScaler(*rounded)
+
     def save(self, path) -> None:
         tensor_io.write_checkpoint(path, self.entries(), {})
 

@@ -105,7 +105,8 @@ def train(
     train_feats = val_feats = None
     if not config.text_only:
         train_raw = extract_corpus(train_man.records)
-        scaler = FeatureScaler.fit(train_raw)
+        # Scale with the checkpoint's copy, so evaluate reproduces val_probs.
+        scaler = FeatureScaler.fit(train_raw).as_stored()
         train_feats = scaler.transform(train_raw)
         val_feats = extract_corpus(val_man.records, scaler)
 

@@ -71,6 +71,22 @@ class TestFeatureCommand:
             tmp_path / "scaled.csv"
         ).read_text()
 
+    def test_scaler_in_and_out_conflict(self, capsys, tmp_path):
+        run_cli(capsys, "synth", "--n-per-class", "1", "--backbone-dim", "8",
+                "--seed", "3", "--out-dir", str(tmp_path))
+        manifest = str(tmp_path / "train.jsonl")
+        run_cli(capsys, "extract-features", "--manifest", manifest,
+                "--out", str(tmp_path / "a.csv"), "--scaler-out", str(tmp_path / "a.pcfc"))
+        code, _, err = run_cli(
+            capsys, "extract-features", "--manifest", manifest,
+            "--out", str(tmp_path / "b.csv"),
+            "--scaler-in", str(tmp_path / "a.pcfc"),
+            "--scaler-out", str(tmp_path / "b.pcfc"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--scaler-in" in err and "--scaler-out" in err
+        assert not (tmp_path / "b.pcfc").exists() and not (tmp_path / "b.csv").exists()
 
     def test_scaler_in_without_scaler_entries(self, capsys, tmp_path):
         run_cli(capsys, "synth", "--n-per-class", "1", "--backbone-dim", "8",

@@ -204,6 +204,20 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError, match="finite"):
             EnsembleSpec.load(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("variant = weighted\nmodels = 1\nw1 = 0.5\nn1 = 2\n", "requires all powers = 1"),
+            ("variant = unified\nmodels = 1\nw1 = nan\nn1 = 1\n", "finite"),
+            ("variant = unified\nmodels = 0\n", "non-empty"),
+        ],
+    )
+    def test_load_names_file_of_rejected_spec(self, tmp_path, text, message):
+        path = tmp_path / "spec.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            EnsembleSpec.load(path)
+
     def test_load_names_line_of_unparsable_count(self, tmp_path):
         path = tmp_path / "spec.cfg"
         path.write_text("variant = unified\n# two models\nmodels = 1.5\nw1 = 1\nn1 = 1\n")

@@ -262,6 +262,17 @@ class TestScaler:
         np.testing.assert_allclose(back.mean, scaler.mean, rtol=1e-6)
         np.testing.assert_allclose(back.std, scaler.std, rtol=1e-6)
 
+    def test_as_stored_equals_the_reloaded_scaler(self, tmp_path):
+        rng = np.random.default_rng(3)
+        raws = [rng.integers(0, 40, size=FEATURE_DIM).astype(float) for _ in range(5)]
+        scaler = FeatureScaler.fit(raws)
+        scaler.save(tmp_path / "scaler.pcfc")
+        back = FeatureScaler.load(tmp_path / "scaler.pcfc")
+        stored = scaler.as_stored()
+        np.testing.assert_array_equal(stored.mean, back.mean)
+        np.testing.assert_array_equal(stored.std, back.std)
+        assert not np.array_equal(stored.mean, scaler.mean)  # rounding did happen
+
     @pytest.mark.parametrize("missing", ["scaler.mean", "scaler.std"])
     def test_from_entries_names_a_missing_entry(self, missing):
         entries = {"scaler.mean": np.zeros(FEATURE_DIM), "scaler.std": np.ones(FEATURE_DIM)}

@@ -154,9 +154,7 @@ class TestEvaluate:
         ev = evaluate(result.checkpoint, val_man)
         # The saved checkpoint is the best epoch, so re-evaluating it must
         # reproduce the stored validation matrix.
-        np.testing.assert_allclose(
-            ev.prob_matrix.probs, result.prob_matrix.probs, atol=1e-6
-        )
+        np.testing.assert_array_equal(ev.prob_matrix.probs, result.prob_matrix.probs)
         assert ev.f1 == pytest.approx(result.best_f1, abs=1e-9)
 
     def test_matches_forward_batch_and_builds_no_graph(self, run, dataset, monkeypatch):
