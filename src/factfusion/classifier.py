@@ -72,7 +72,13 @@ class ClassifierHead:
         self.in_dim = in_dim
         self.dropout_rate = dropout_rate
         self.Wz1 = Tensor.param(glorot_uniform(rng, in_dim, hidden_dim, dtype))
-        self.Wz2 = Tensor.param(glorot_uniform(rng, hidden_dim, n_classes, dtype))
+        # The output layer starts at a tenth of its Glorot draw, so the first
+        # steps see near-uniform class probabilities (small final-layer init,
+        # as in Fixup and ViT fine-tuning); the draw itself keeps every later
+        # parameter's and dropout mask's rng position.
+        self.Wz2 = Tensor.param(
+            glorot_uniform(rng, hidden_dim, n_classes, dtype) * 0.1
+        )
 
     def __call__(
         self, x: Tensor, rng: Optional[np.random.Generator] = None
