@@ -283,10 +283,21 @@ def _improve(best: Optional[tuple], clamped, weights, powers, labels) -> tuple:
     return best
 
 
-def _grid(values: Sequence[float], m: int) -> np.ndarray:
-    """Every m-tuple of values as rows, the last member varying fastest."""
-    grids = np.meshgrid(*([np.array(values)] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _grid(values: Sequence[float], m: int, rows: int) -> np.ndarray:
+    """The first `rows` m-tuples of values (all of them if there are fewer),
+    the last member varying fastest.
+
+    Only the rows asked for are built: with ten members the whole weight
+    grid alone would be 10^10 rows. Row r's digits in base len(values) pick
+    its values; unlike np.unravel_index this holds for any m, as no index
+    past the rows asked for is formed.
+    """
+    index = np.arange(min(rows, len(values) ** m))
+    digits = []
+    for _ in range(m):
+        index, digit = np.divmod(index, len(values))
+        digits.append(digit)
+    return np.asarray(values, dtype=float)[np.stack(digits[::-1], axis=1)]
 
 
 def tune(
@@ -326,12 +337,14 @@ def tune(
         f1, _ = _improve(None, clamped, np.full((1, m), 1.0 / m), tied_ones, labels)
         return TuneResult(spec=spec, f1=f1, evaluations=1)
 
+    # Each power row is tried with the whole weight grid, so the budget
+    # reaches only its first ceil(budget / grid rows) power rows.
+    weight_grid = _grid(WEIGHT_GRID, m, budget)
     power_rows = {
         "weighted": tied_ones,
         "power": np.repeat(np.array(POWER_GRID)[:, None], m, axis=1),
-        "unified": _grid(POWER_GRID, m),
+        "unified": _grid(POWER_GRID, m, -(-budget // len(WEIGHT_GRID) ** m)),
     }[variant]
-    weight_grid = _grid(WEIGHT_GRID, m)
     grid_blocks = (
         (weight_grid[start : start + BLOCK_ROWS], powers[None])
         for powers in power_rows

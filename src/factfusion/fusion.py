@@ -16,12 +16,16 @@ A whole batch fuses in one pass: each stream arrives as its samples' rows
 packed into one [sum(rows) x d] tensor plus the per-sample row counts.
 Everything position-wise (projections, feed-forward, layer norms, pooling)
 runs once on the packed rows; only the attention core works per sample, on
-that sample's row ranges, so no padding or key mask is needed. That core is
-one autograd node per direction (autograd.attention_core), which takes the
-packed [rows x d] Q/K/V and owns the head split, query scaling and head
-merge. A single unpacked sample may instead be padded, with a_len/b_len/
-lengths marking its valid prefix; masked key positions then receive exactly
-zero attention.
+that sample's row ranges. That core is one autograd node per direction
+(autograd.attention_core), which takes the packed [rows x d] Q/K/V and owns
+the head split, query scaling and head merge. It cuts the samples, in
+order, into runs whose padded [samples*heads x longest query x longest key]
+score block stays within autograd.PACK_BUDGET entries: a run of small
+samples is padded into one batch with a -inf key mask, and a sample too big
+to share a block runs alone on its own rows, unpadded. A single unpacked
+sample may instead be padded by the caller, with a_len/b_len/lengths
+marking its valid prefix; it is a run of one, and masked key positions
+receive exactly zero attention.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factfusion.autograd import (
+    _runs,
     GraphError,
     ShapeError,
     Tensor,
@@ -297,78 +298,210 @@ def packed_segments(rows, valid=None):
     return tuple((int(e - r), int(e), int(v)) for r, e, v in zip(rows, stops, valid))
 
 
+def split_heads(x, heads):
+    n, d = x.shape
+    return transpose(reshape(x, (n, heads, d // heads)), (1, 0, 2))
+
+
+def merge_heads(x, shape):
+    return reshape(transpose(x, (1, 0, 2)), shape)
+
+
+def segment_attention(q, k_t, v, q_seg, k_seg, drop):
+    """One segment's attention from primitive ops on [H × rows × e] heads;
+    drop applies dropout to the weights."""
+    (qs, qe, _), (ks, ke, valid) = q_seg, k_seg
+    scores = matmul(getitem(q, (slice(None), slice(qs, qe))),
+                    getitem(k_t, (slice(None), slice(None), slice(ks, ke))))
+    if valid < ke - ks:
+        mask = np.zeros((1, 1, ke - ks), dtype=scores.dtype)
+        mask[..., valid:] = -np.inf
+        scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
+    dropped = drop(softmax(scores, axis=-1))
+    return matmul(dropped, getitem(v, (slice(None), slice(ks, ke))))
+
+
 def attention_reference(
     queries, keys, values, heads, factor, query_segs, key_segs, p, rng
 ):
-    """attention_core composed from primitive ops: a head split, one small
-    graph per segment, and a head merge."""
+    """attention_core's meaning, composed from primitive ops: a head split,
+    one small graph per segment with its own dropout draw, and a head merge."""
+    q = scale(split_heads(queries, heads), factor)
+    k_t = transpose(split_heads(keys, heads), (0, 2, 1))
+    v = split_heads(values, heads)
+    contexts = [
+        segment_attention(q, k_t, v, q_seg, k_seg, lambda w: dropout(w, p, rng))
+        for q_seg, k_seg in zip(query_segs, key_segs)
+    ]
+    return merge_heads(concat(contexts, axis=1), queries.shape)
 
-    def split(x):
-        n, d = x.shape
-        return transpose(reshape(x, (n, heads, d // heads)), (1, 0, 2))
 
-    q = scale(split(queries), factor)
-    k_t = transpose(split(keys), (0, 2, 1))
-    v = split(values)
+def padded_reference(
+    queries, keys, values, heads, factor, query_segs, key_segs, p, rng
+):
+    """attention_core's arithmetic, composed from primitive ops.
+
+    The segments are cut into attention_core's runs. A run of one is the
+    per-segment graph; a longer run pads each segment's heads with zero rows
+    (getitem, concat), stacks them segment-major into [n·H × Lq × e], adds a
+    −inf constant on padded and invalid keys, takes softmax, multiplies by
+    the keep mask scattered into the padded layout, multiplies by the padded
+    values and unpads. Every keep mask comes from one draw of Σ H·q·k
+    doubles, as in attention_core.
+    """
+    q = scale(split_heads(queries, heads), factor)
+    k = split_heads(keys, heads)
+    k_t, v = transpose(k, (0, 2, 1)), split_heads(values, heads)
+    sizes = [heads * (qe - qs) * (ke - ks)
+             for (qs, qe, _), (ks, ke, _) in zip(query_segs, key_segs)]
+    keep_all = None
+    if rng is not None:
+        keep_all = (rng.random(sum(sizes)) >= p).astype(q.dtype) / (1.0 - p)
+    offsets = np.cumsum([0] + sizes)
+
+    def padded(x, segs, length):
+        blocks = []
+        for start, stop, _ in segs:
+            block = getitem(x, (slice(None), slice(start, stop)))
+            if stop - start < length:
+                fill = np.zeros((heads, length - stop + start, x.shape[2]), x.dtype)
+                block = concat([block, Tensor.constant(fill)], axis=1)
+            blocks.append(block)
+        return concat(blocks, axis=0)
+
     contexts = []
-    for (qs, qe, _), (ks, ke, valid) in zip(query_segs, key_segs):
-        scores = matmul(getitem(q, (slice(None), slice(qs, qe))),
-                        getitem(k_t, (slice(None), slice(None), slice(ks, ke))))
-        if valid < ke - ks:
-            mask = np.zeros((1, 1, ke - ks), dtype=scores.dtype)
-            mask[..., valid:] = -np.inf
-            scores = add(scores, Tensor.constant(mask, dtype=scores.dtype))
-        w = softmax(scores, axis=-1)
-        dropped = dropout(w, p, rng=rng)
-        contexts.append(matmul(dropped, getitem(v, (slice(None), slice(ks, ke)))))
-    return reshape(transpose(concat(contexts, axis=1), (1, 0, 2)), queries.shape)
+    for first, stop in _runs(query_segs, key_segs, heads):
+        q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
+        keep = None if keep_all is None else keep_all[offsets[first] : offsets[stop]]
+        if stop - first == 1:
+            def drop(w):
+                return w if keep is None else mul(w, Tensor.constant(keep.reshape(w.shape)))
+
+            contexts.append(segment_attention(q, k_t, v, q_segs[0], k_segs[0], drop))
+            continue
+        lq = max(qe - qs for qs, qe, _ in q_segs)
+        lk = max(ke - ks for ks, ke, _ in k_segs)
+        scores = matmul(padded(q, q_segs, lq), transpose(padded(k, k_segs, lk), (0, 2, 1)))
+        mask = np.zeros((len(k_segs) * heads, 1, lk), dtype=scores.dtype)
+        for i, (_, _, valid) in enumerate(k_segs):
+            mask[i * heads : (i + 1) * heads, :, valid:] = -np.inf
+        w = softmax(add(scores, Tensor.constant(mask)), axis=-1)
+        if keep is not None:
+            placed = np.zeros((len(q_segs), heads, lq, lk), dtype=w.dtype)
+            for i, ((qs, qe, _), (ks, ke, _)) in enumerate(zip(q_segs, k_segs)):
+                n = heads * (qe - qs) * (ke - ks)
+                placed[i, :, : qe - qs, : ke - ks] = keep[:n].reshape((heads, qe - qs, -1))
+                keep = keep[n:]
+            w = mul(w, Tensor.constant(placed.reshape(w.shape)))
+        context = matmul(w, padded(v, k_segs, lk))
+        for i, (qs, qe, _) in enumerate(q_segs):
+            contexts.append(
+                getitem(context, (slice(i * heads, (i + 1) * heads), slice(0, qe - qs)))
+            )
+    return merge_heads(concat(contexts, axis=1), queries.shape)
 
 
 class TestAttentionCore:
-    # Ragged packed segments with 1-row queries and keys, and one sample
-    # whose last two key rows are padding.
+    # Segments as (query rows, key rows, valid key rows or None for all).
     CASES = {
+        # Ragged packed segments with 1-row queries and keys: one padded run.
         "ragged": ((1, 3, 5, 1), (2, 1, 4, 6), None),
+        # One sample whose last two key rows are padding: a run of one.
         "padded_single": ((4,), (5,), (3,)),
+        # The 60 × 70 segment exceeds PACK_BUDGET at two heads, so the
+        # segments fall into runs [0, 2), [2, 3) and [3, 6); the last run
+        # also holds a segment with an invalid key row.
+        "split": ((2, 3, 60, 2, 1, 3), (3, 2, 70, 1, 2, 4), (3, 2, 70, 1, 2, 3)),
     }
+    HEADS, WIDTH, P = 2, 3, 0.3
+
+    def run(self, op, case, dtype, training):
+        """Context and input gradients of op on the case's seeded inputs."""
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        rng = np.random.default_rng(4)
+        d = self.HEADS * self.WIDTH
+        inputs = [rng.standard_normal((sum(rows), d)) for rows in (q_rows, k_rows, k_rows)]
+        readout = Tensor.constant(rng.standard_normal((sum(q_rows), d)), dtype=dtype)
+        q, k, v = (Tensor.param(x, dtype=dtype) for x in inputs)
+        out = op(
+            q, k, v, self.HEADS, 1.0 / np.sqrt(self.WIDTH), q_segs, k_segs, self.P,
+            np.random.default_rng(9) if training else None,
+        )
+        tensor_sum(out * readout).backward()
+        return out.data, q.grad, k.grad, v.grad
+
+    def test_cases_cut_into_the_runs_they_name(self):
+        def runs(case):
+            q_rows, k_rows, valid = self.CASES[case]
+            return _runs(packed_segments(q_rows), packed_segments(k_rows, valid), 2)
+
+        assert runs("ragged") == [(0, 4)]
+        assert runs("padded_single") == [(0, 1)]
+        assert runs("split") == [(0, 2), (2, 3), (3, 6)]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_matches_primitive_composition_bitwise(self, case, training):
-        q_rows, k_rows, valid = self.CASES[case]
-        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
-        rng = np.random.default_rng(4)
-        heads, width = 2, 3
-        d = heads * width
-        inputs = [
-            rng.standard_normal((sum(rows), d)).astype(np.float32)
-            for rows in (q_rows, k_rows, k_rows)
-        ]
-        readout = Tensor.constant(
-            rng.standard_normal((sum(q_rows), d)).astype(np.float32)
-        )
-        factor = 1.0 / np.sqrt(width)
-
-        def run(op):
-            q, k, v = (Tensor.param(x.copy()) for x in inputs)
-            out = op(
-                q, k, v, heads, factor, q_segs, k_segs, 0.3,
-                np.random.default_rng(9) if training else None,
-            )
-            tensor_sum(out * readout).backward()
-            return out.data, q.grad, k.grad, v.grad
-
-        weights = []
-        got = run(lambda *args: attention_core(*args, weights=weights))
-        want = run(attention_reference)
+        got = self.run(attention_core, case, np.float32, training)
+        want = self.run(padded_reference, case, np.float32, training)
         for name, g, w in zip(("context", "dq", "dk", "dv"), got, want):
             assert g.dtype == np.float32, name
             assert np.array_equal(g, w), name
-        assert [g.shape for g in got] == [x.shape for x in inputs[:1] + inputs]
-        assert len(weights) == len(q_rows)
-        for w, (qs, qe, _), (ks, ke, v) in zip(weights, q_segs, k_segs):
-            assert w.shape == (heads, qe - qs, ke - ks)
-            assert np.all(w.data[..., v:] == 0.0)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_single_segment_matches_per_segment_composition_bitwise(self, training):
+        got = self.run(attention_core, "padded_single", np.float32, training)
+        want = self.run(attention_reference, "padded_single", np.float32, training)
+        for name, g, w in zip(("context", "dq", "dk", "dv"), got, want):
+            assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_per_segment_meaning_in_float64(self, case, training):
+        # The reference draws each segment's dropout mask on its own, so a
+        # match also shows that the kernel drops the same weights.
+        got = self.run(attention_core, case, np.float64, training)
+        want = self.run(attention_reference, case, np.float64, training)
+        for name, g, w in zip(("context", "dq", "dk", "dv"), got, want):
+            assert g.dtype == np.float64, name
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_draws_one_block_of_doubles(self, case):
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        d = self.HEADS * self.WIDTH
+        q, k, v = (Tensor.constant(np.ones((sum(rows), d), dtype=np.float32))
+                   for rows in (q_rows, k_rows, k_rows))
+        rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+        attention_core(q, k, v, self.HEADS, 1.0, q_segs, k_segs, self.P, rng)
+        expected.random(sum(self.HEADS * q * k for q, k in zip(q_rows, k_rows)))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_weights_come_back_per_segment_in_order(self, case):
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        rng = np.random.default_rng(6)
+        d = self.HEADS * self.WIDTH
+        q, k, v = (rng.standard_normal((sum(rows), d)) for rows in (q_rows, k_rows, k_rows))
+        weights = []
+        attention_core(
+            *(Tensor.constant(x) for x in (q, k, v)), self.HEADS, 1.0,
+            q_segs, k_segs, 0.0, None, weights=weights,
+        )
+        assert len(weights) == len(q_segs)
+        for w, (qs, qe, _), (ks, ke, n_valid) in zip(weights, q_segs, k_segs):
+            heads_q = q[qs:qe].reshape(qe - qs, self.HEADS, -1).transpose(1, 0, 2)
+            heads_k = k[ks:ke].reshape(ke - ks, self.HEADS, -1).transpose(1, 0, 2)
+            scores = heads_q @ heads_k.transpose(0, 2, 1)
+            scores[..., n_valid:] = -np.inf
+            expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            expected /= expected.sum(axis=-1, keepdims=True)
+            assert w.shape == (self.HEADS, qe - qs, ke - ks)
+            assert np.all(w.data[..., n_valid:] == 0.0)
+            np.testing.assert_allclose(w.data, expected, rtol=0, atol=1e-12)
 
     def test_mismatched_shapes_raise(self):
         cases = [

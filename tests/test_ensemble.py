@@ -1,6 +1,7 @@
 """Power-weighted ensembling: frozen blend oracle, variant lattice, tuner."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from factfusion.ensemble import (
     EnsembleSpec,
     ProbMatrix,
     _blend_scores,
+    _grid,
     blend,
     predict,
     tune,
@@ -355,6 +357,31 @@ class TestBlend:
 
 
 class TestTune:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_grid_rows_are_the_full_grids_prefix(self, m):
+        full = np.stack(
+            [g.ravel() for g in np.meshgrid(*[np.array(WEIGHT_GRID)] * m, indexing="ij")],
+            axis=1,
+        )
+        for rows in (1, 7, 10**m, 10**m + 5):
+            assert np.array_equal(_grid(WEIGHT_GRID, m, rows), full[:rows])
+
+    def test_ten_members_build_only_the_rows_the_budget_reaches(self):
+        # The full grids would hold 10^10 weight rows and 5^10 power rows.
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 5, size=20)
+        mats = [mat(rng.dirichlet(np.ones(5), size=20), f"m{i}") for i in range(10)]
+        tracemalloc.start()
+        try:
+            for variant in ("weighted", "power", "unified"):
+                result = tune(mats, labels, variant=variant, budget=2000, seed=0)
+                # The budget's 2000 grid rows, then one corner per member.
+                assert result.evaluations == 2010, variant
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
     def test_single_model_average_identity(self):
         labels = np.array([0, 2])
         result = tune([mat(P1)], labels, variant="average", budget=10)
