@@ -13,6 +13,7 @@ Runs in a few minutes on one CPU core:
 """
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -84,6 +85,8 @@ def main() -> int:
     print(f"{'-' * 18}  ------")
     for seed, f1 in zip(args.seeds, singles):
         print(f"{f'full, seed {seed}':<18}  {f1:.4f}")
+    print(f"{'full, mean':<18}  {statistics.fmean(singles):.4f}")
+    print(f"{'full, min':<18}  {min(singles):.4f}")
     print(f"{'text-only ablation':<18}  {ablation.best_f1:.4f}")
     gap = max(singles) - ablation.best_f1
     print(f"{'fusion gain':<18}  {gap:+.4f}")

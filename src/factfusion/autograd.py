@@ -571,7 +571,7 @@ def attention_core(
         padded.transpose(1, 0, 2, 3)[:, rows] = x
         return padded.reshape((-1,) + padded.shape[2:])
 
-    def scatter(into: np.ndarray, span: tuple, x: np.ndarray, rows) -> None:
+    def scatter(into: np.ndarray, span: tuple, x: np.ndarray, rows: Optional[np.ndarray]) -> None:
         """Write what gather(·, span, rows) read back into `into`."""
         if rows is not None:
             x = x.reshape((rows.shape[0], heads) + x.shape[1:])
@@ -591,32 +591,34 @@ def attention_core(
     for first, stop in _runs(query_segs, key_segs, heads):
         q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
         q_span, k_span = (q_segs[0][0], q_segs[-1][1]), (k_segs[0][0], k_segs[-1][1])
-        masks = (None, None) if stop - first == 1 else (
-            _row_mask(q_segs), _row_mask(k_segs)
-        )
-        bq = gather(q, q_span, masks[0])
-        bk, bv = gather(k, k_span, masks[1]), gather(v, k_span, masks[1])
+        q_rows = k_rows = None
+        if stop - first > 1:
+            q_rows, k_rows = _row_mask(q_segs), _row_mask(k_segs)
+        bq = gather(q, q_span, q_rows)
+        bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
         scores = bq @ bk.swapaxes(-1, -2)
-        if masks[1] is None:
+        if k_rows is None:
             scores[..., k_segs[0][2]:] = -np.inf
         else:
             valid = np.array([seg[2] for seg in k_segs])[:, None]
-            key_mask = np.where(np.arange(masks[1].shape[1]) < valid, 0.0, -np.inf)
+            key_mask = np.where(np.arange(k_rows.shape[1]) < valid, 0.0, -np.inf)
             scores += np.repeat(key_mask.astype(scores.dtype), heads, axis=0)[:, None]
         w = _softmax_forward(scores, -1)
         keep = None if keep_all is None else keep_all[offsets[first] : offsets[stop]]
-        if keep is not None and masks[0] is not None:
-            region = masks[0][:, None, :, None] & masks[1][:, None, None, :]
-            region = np.repeat(region, heads, axis=1)
-            placed = np.zeros(region.shape, keep.dtype)
-            placed[region] = keep
-            keep = placed
         if keep is not None:
+            if q_rows is not None:
+                # Segment-major order: the draws fill each segment's
+                # [H × q × k] block in turn, as per-segment draws would.
+                region = (q_rows[:, :, None] & k_rows[:, None, :])[:, None]
+                region = np.repeat(region, heads, axis=1)
+                placed = np.zeros(region.shape, keep.dtype)
+                placed[region] = keep
+                keep = placed
             keep = keep.reshape(w.shape)
         dropped = w if keep is None else w * keep
-        scatter(out, q_span, dropped @ bv, masks[0])
+        scatter(out, q_span, dropped @ bv, q_rows)
         if tracked:
-            saved.append((q_span, k_span, masks, w, keep))
+            saved.append((q_span, k_span, q_rows, k_rows, w, keep))
         if weights is not None:
             blocks = w.reshape((stop - first, heads) + w.shape[1:])
             weights.extend(
@@ -627,19 +629,19 @@ def attention_core(
     def backward(g):
         g = split(g)
         gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-        for q_span, k_span, masks, w, keep in saved:
+        for q_span, k_span, q_rows, k_rows, w, keep in saved:
             # Gathered again rather than kept: a step holds every direction's
             # padded blocks at once, and a gather costs less than its memory.
-            bq, bg = gather(q, q_span, masks[0]), gather(g, q_span, masks[0])
-            bk, bv = gather(k, k_span, masks[1]), gather(v, k_span, masks[1])
+            bq, bg = gather(q, q_span, q_rows), gather(g, q_span, q_rows)
+            bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
             dropped = w if keep is None else w * keep
-            scatter(gv, k_span, dropped.swapaxes(-1, -2) @ bg, masks[1])
+            scatter(gv, k_span, dropped.swapaxes(-1, -2) @ bg, k_rows)
             gw = bg @ bv.swapaxes(-1, -2)
             if keep is not None:
                 gw *= keep
             gs = _softmax_backward(w, gw, -1, overwrite=True)
-            scatter(gq, q_span, gs @ bk, masks[0])
-            scatter(gk, k_span, (bq.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), masks[1])
+            scatter(gq, q_span, gs @ bk, q_rows)
+            scatter(gk, k_span, (bq.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k_rows)
         return merge(gq * s), merge(gk), merge(gv)
 
     return _make(merge(out), parents, backward)

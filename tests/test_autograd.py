@@ -89,6 +89,16 @@ class TestForwardValues:
         b = softmax(Tensor.constant(x + 123.0, dtype=np.float64), axis=-1)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(80, 10, 10), (8, 24, 32), (3, 4), (4, 40, 40)])
+    def test_softmax_matches_plain_max_shift_bitwise(self, rng, shape):
+        # Many short rows take their max over a transposed copy, the rest
+        # through np.max; the max is exact, so both give these floats.
+        x = (rng.standard_normal(shape) * 20).astype(np.float32)
+        x[..., -1] = -np.inf
+        want = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        want = want / np.sum(want, axis=-1, keepdims=True)
+        assert np.array_equal(softmax(Tensor.constant(x), axis=-1).data, want)
+
     def test_relu_zero_and_negative(self):
         out = relu(Tensor.constant([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
