@@ -373,8 +373,8 @@ def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
 
     numpy reduces a short contiguous axis row by row, at about 80 ns a row;
     the max across the leading axis of a transposed copy runs whole rows at
-    once (a [80 × 10 × 10] block: 75 µs against 9 µs). The max is exact, so
-    both ways give the same floats.
+    once (a [80 × 10 × 10] float32 block on a 2-vCPU x86_64 host: 75 µs
+    against 9 µs). The max is exact, so both ways give the same floats.
     """
     n = x.shape[axis]
     if axis in (-1, x.ndim - 1) and n <= 32 and x.size >= 128 * n:
@@ -476,10 +476,11 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> T
 # padding adds area; large blocks are bound by arithmetic, where the padding
 # costs time. Timed forward and backward on 24 sorted 4-10-row segments at
 # 4 heads, and forward on 24 unsorted 16-40-row segments at 8 heads (2-vCPU
-# x86_64, one BLAS thread), the budgets 1 / 4096 / 8192 / 16384 gave
-# 1.82 / 1.29 / 1.25 / 1.09 ms and 2.10 / 2.12 / 2.22 / 2.71 ms. 8192 keeps
-# most of the small-sample gain while wider samples lose at most a few
-# percent; samples of 16-128 rows at 8 heads seldom share a block at all.
+# x86_64, one BLAS thread, best of 15), the budgets 1 / 4096 / 8192 / 16384
+# gave 1.40 / 0.96 / 0.98 / 0.80 ms and 1.54 / 1.52 / 1.63 / 2.07 ms.
+# 4096 and 8192 are alike; 16384 gains on small samples but costs wider
+# ones a third more. At 8192 no two samples of 16-128 rows at 8 heads share
+# a block in ten seeded eval-wide benchmark splits.
 PACK_BUDGET = 8192
 
 
@@ -535,9 +536,9 @@ def attention_core(
     The segments are cut, in order, into runs (see _runs and PACK_BUDGET).
     A run of several segments is gathered through boolean row masks into one
     zero-padded [n·H × Lq × e] batch, segment-major, whose padded and invalid
-    keys get a −inf additive mask; it then takes one matmul, one softmax and
+    keys get a −inf additive mask. It then takes one matmul, one softmax and
     one matmul each way, forward and backward, and is scattered back; the
-    padding changes only the order in which the floats are summed. A run of one
+    padding changes only the order in which floats are summed. A run of one
     segment is computed on that segment's slices with the reshape,
     transpose, scale, matmul, softmax and dropout rules in that
     composition's order. The dropout mask of the whole call is one
