@@ -368,38 +368,15 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
-    """np.max(x, axis, keepdims=True), faster over many short last-axis rows.
-
-    numpy reduces a short contiguous axis row by row, at about 80 ns a row;
-    the max across the leading axis of a transposed copy runs whole rows at
-    once (a [80 × 10 × 10] float32 block on a 2-vCPU x86_64 host: 75 µs
-    against 9 µs). The max is exact, so both ways give the same floats.
-    """
-    n = x.shape[axis]
-    if axis in (-1, x.ndim - 1) and n <= 32 and x.size >= 128 * n:
-        return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)[..., None]
-    return np.max(x, axis=axis, keepdims=True)
-
-
 def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
-    e = x - _max_keepdims(x, axis)
+    e = x - np.max(x, axis=axis, keepdims=True)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
 
 
-def _softmax_backward(
-    out: np.ndarray, g: np.ndarray, axis: int, overwrite: bool = False
-) -> np.ndarray:
-    """The gradient through softmax output `out`. overwrite=True computes it
-    in g, which the caller must own; the floats are the same."""
-    s = np.sum(g * out, axis=axis, keepdims=True)
-    if not overwrite:
-        return out * (g - s)
-    g -= s
-    g *= out
-    return g
+def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return out * (g - np.sum(g * out, axis=axis, keepdims=True))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -477,10 +454,12 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> T
 # costs time. Timed forward and backward on 24 sorted 4-10-row segments at
 # 4 heads, and forward on 24 unsorted 16-40-row segments at 8 heads (2-vCPU
 # x86_64, one BLAS thread, best of 15), the budgets 1 / 4096 / 8192 / 16384
-# gave 1.40 / 0.96 / 0.98 / 0.80 ms and 1.54 / 1.52 / 1.63 / 2.07 ms.
+# gave 1.84 / 1.51 / 1.46 / 1.08 ms and 2.37 / 2.35 / 2.24 / 3.21 ms.
 # 4096 and 8192 are alike; 16384 gains on small samples but costs wider
-# ones a third more. At 8192 no two samples of 16-128 rows at 8 heads share
-# a block in ten seeded eval-wide benchmark splits.
+# ones 40% more. At 8192 two samples at 8 heads share a block only if
+# their longest query × longest key is at most 512 (16 × 32, say): in the
+# eval-wide benchmark's 16-128-row splits of seeds 101-112, 4 of 14,400
+# runs held two samples, and every other sample ran alone.
 PACK_BUDGET = 8192
 
 
@@ -640,9 +619,11 @@ def attention_core(
             gw = bg @ bv.swapaxes(-1, -2)
             if keep is not None:
                 gw *= keep
-            gs = _softmax_backward(w, gw, -1, overwrite=True)
-            scatter(gq, q_span, gs @ bk, q_rows)
-            scatter(gk, k_span, (bq.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k_rows)
+            # The softmax rule of _softmax_backward, computed in gw.
+            gw -= np.sum(gw * w, axis=-1, keepdims=True)
+            gw *= w
+            scatter(gq, q_span, gw @ bk, q_rows)
+            scatter(gk, k_span, (bq.swapaxes(-1, -2) @ gw).swapaxes(-1, -2), k_rows)
         return merge(gq * s), merge(gk), merge(gv)
 
     return _make(merge(out), parents, backward)

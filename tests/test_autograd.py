@@ -91,8 +91,8 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("shape", [(80, 10, 10), (8, 24, 32), (3, 4), (4, 40, 40)])
     def test_softmax_matches_plain_max_shift_bitwise(self, rng, shape):
-        # Many short rows take their max over a transposed copy, the rest
-        # through np.max; the max is exact, so both give these floats.
+        # The forward shifts, exponentiates and divides in place; the
+        # floats are those of the plain expression.
         x = (rng.standard_normal(shape) * 20).astype(np.float32)
         x[..., -1] = -np.inf
         want = np.exp(x - np.max(x, axis=-1, keepdims=True))
