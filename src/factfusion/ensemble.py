@@ -225,23 +225,63 @@ class EnsembleSpec:
 
 def _blend_scores(clamped, weights, powers) -> np.ndarray:
     """Blend scores [k x samples x 5] for [k x m] weights and [k x m] powers or
-    one shared [1 x m] power row; row i is exactly blend() of its spec."""
-    # One np.power call per row with a scalar exponent, as blend() makes: numpy
-    # squares, roots or copies for 2, 0.5 and 1 only for a scalar exponent and
-    # may otherwise take its general pow, which rounds differently. One buffer
-    # per call: more block-sized arrays make glibc's malloc return the heap to
-    # the OS after every block, and those page faults cost more than the blend.
-    k = weights.shape[0]
-    shared = powers.shape[0] < k
-    buffer = np.empty((2 * k + shared,) + clamped.shape[1:])
-    scores, term = buffer[:k], buffer[k : 2 * k]
-    powered = buffer[2 * k :] if shared else term
-    scores.fill(0.0)
-    for j in range(clamped.shape[0]):
-        for row, power in zip(powered, powers[:, j]):
-            np.power(clamped[j], power, out=row)
-        scores += np.multiply(weights[:, j, None, None], powered, out=term)
-    return scores
+    one shared [1 x m] power row; row i is exactly blend() of its spec.
+
+    The scores live class-major, [k x 5 x samples] in memory, and come back
+    as the transposed view, so each class is a block of contiguous rows for
+    _argmax_classes. Member 0's term is written straight into the scores: all
+    terms are positive, so starting from it equals starting from zero.
+
+    blend() powers with a scalar exponent, for which numpy takes sqrt and
+    square at 0.5 and 2, where its general pow rounds differently. A power
+    column that is constant over the block gets that same scalar call, once
+    per member: the grid, weighted and blend() itself. Otherwise one call
+    takes the [k x 1] exponent column; whether numpy takes the shortcut for
+    a broadcast exponent depends on the shapes, so rows at 0.5 or 2 are
+    redone with the scalar call.
+    """
+    # One buffer per call: more block-sized arrays make glibc's malloc return
+    # the heap to the OS after every block, and those page faults cost more
+    # than the blend. einsum forms the outer product weights x powered probs
+    # about twice as fast as a broadcast multiply, with the same products.
+    k, (m, n, c) = weights.shape[0], clamped.shape
+    classes = np.ascontiguousarray(clamped.transpose(0, 2, 1)).reshape(m, c * n)
+    buffer = np.empty((2 * k, c * n))
+    scores, term = buffer[:k], buffer[k:]
+    for j, probs in enumerate(classes):
+        out = term if j else scores
+        column = powers[:, j]
+        if (column == column[0]).all():
+            np.einsum("i,j->ij", weights[:, j], np.power(probs, column[0]), out=out)
+        else:
+            np.power(probs, column[:, None], out=out)
+            for i in np.flatnonzero((column == 0.5) | (column == 2.0)):
+                np.power(probs, column[i], out=out[i])
+            out *= weights[:, j, None]
+        if j:
+            scores += term
+    return scores.reshape(k, c, n).transpose(0, 2, 1)
+
+
+def _argmax_classes(scores: np.ndarray) -> np.ndarray:
+    """scores.argmax(axis=-1) as uint8, by a compare chain over the classes.
+
+    A strict > keeps the first maximum, as argmax does. On _blend_scores'
+    class-major block each class slice is contiguous rows, and the chain
+    beats argmax over the 5-wide axis; the update is arithmetic, as masked
+    writes cost more than the whole chain.
+    """
+    best = scores[..., 0].copy()
+    preds = np.zeros(best.shape, dtype=np.uint8)
+    greater = np.empty(best.shape, dtype=bool)
+    step = np.empty(best.shape, dtype=np.uint8)
+    for c in range(1, scores.shape[-1]):
+        np.greater(scores[..., c], best, out=greater)
+        np.maximum(best, scores[..., c], out=best)
+        np.subtract(c, preds, out=step)
+        step *= greater
+        preds += step
+    return preds
 
 
 def blend(mats: Sequence[ProbMatrix], spec: EnsembleSpec) -> np.ndarray:
@@ -252,7 +292,8 @@ def blend(mats: Sequence[ProbMatrix], spec: EnsembleSpec) -> np.ndarray:
             f"spec covers {spec.n_models} models but {len(mats)} matrices given"
         )
     clamped = np.stack([np.clip(mat.probs, PROB_FLOOR, 1.0) for mat in mats])
-    return _blend_scores(clamped, np.array([spec.weights]), np.array([spec.powers]))[0]
+    scores = _blend_scores(clamped, np.array([spec.weights]), np.array([spec.powers]))
+    return np.ascontiguousarray(scores[0])
 
 
 def predict(scores: np.ndarray) -> np.ndarray:
@@ -270,7 +311,7 @@ def _improve(best: Optional[tuple], clamped, weights, powers, labels) -> tuple:
     """Score a block of at most BLOCK_ROWS blends; return the better of it and
     best as (f1, (weights, powers)), ties going to the smallest such key."""
     scores = _blend_scores(clamped, weights, powers)
-    f1s = weighted_f1_batch(labels, scores.argmax(axis=2), N_CLASSES)
+    f1s = weighted_f1_batch(labels, _argmax_classes(scores), N_CLASSES)
     powers = np.broadcast_to(powers, weights.shape)
     top = f1s.max()
     if best is not None and top < best[0]:

@@ -74,6 +74,8 @@ def _segments(
     valid and the rest padding.
     """
     if rows is None:
+        if length is not None and length < 1:
+            raise ValueError(f"valid-prefix length {length} must be at least 1")
         valid = n_rows if length is None else min(length, n_rows)
         return ((0, n_rows, valid),)
     if length is not None:

@@ -15,6 +15,7 @@ from factfusion.ensemble import (
     WEIGHT_GRID,
     EnsembleSpec,
     ProbMatrix,
+    _argmax_classes,
     _blend_scores,
     _grid,
     blend,
@@ -276,6 +277,11 @@ class TestBlend:
         scores = blend(mats, EnsembleSpec.average(3))
         expected = (np.array(P1) + np.array(P2) + np.array(P3)) / 3.0
         np.testing.assert_allclose(scores, expected, atol=1e-15)
+
+    def test_scores_are_c_contiguous(self):
+        mats = [mat(P1, "a"), mat(P2, "b"), mat(P3, "c")]
+        scores = blend(mats, EnsembleSpec("unified", (0.2, 0.7, 0.6), (0.125, 2.0, 0.5)))
+        assert scores.shape == (2, 5) and scores.flags.c_contiguous
 
     def test_identical_matrices_preserve_argmax(self):
         rng = np.random.default_rng(0)
@@ -547,6 +553,81 @@ class TestTuneBlendContract:
                 row_powers = block_powers[min(i, len(block_powers) - 1)]
                 spec = EnsembleSpec("unified", weights[i], row_powers)
                 assert np.array_equal(scores[i], blend(mats, spec))
+
+    def test_large_block_rows_are_blends(self):
+        # 256 rows over 100 samples, each member's power column mixing the
+        # grid (0.5 and 2 among it), 1, 8 and free values, so no column is
+        # constant and the column call must still match blend()'s scalar one.
+        rng = np.random.default_rng(11)
+        k, n, m = 256, 100, 3
+        mats = [mat(rng.dirichlet(np.ones(5), size=n), f"m{j}") for j in range(m)]
+        named = rng.choice(np.array(POWER_GRID + (1.0, 8.0)), size=(k, m))
+        powers = np.where(rng.random((k, m)) < 0.5, named, rng.uniform(0.01, 8.0, (k, m)))
+        weights = rng.uniform(0.01, 10.0, (k, m))
+        assert ((powers == 0.5).any(axis=0) & (powers == 2.0).any(axis=0)).all()
+        clamped = np.stack([np.clip(x.probs, PROB_FLOOR, 1.0) for x in mats])
+        scores = _blend_scores(clamped, weights, powers)
+        for i in range(k):
+            spec = EnsembleSpec("unified", weights[i], powers[i])
+            assert np.array_equal(scores[i], blend(mats, spec)), i
+
+
+class TestArgmaxClasses:
+    def test_matches_argmax_on_random_scores(self):
+        rng = np.random.default_rng(12)
+        class_major = rng.random((256, 5, 100)).transpose(0, 2, 1)
+        for scores in (class_major, np.ascontiguousarray(class_major)):
+            preds = _argmax_classes(scores)
+            assert preds.dtype == np.uint8
+            np.testing.assert_array_equal(preds, scores.argmax(axis=-1))
+
+    def test_exact_ties_go_to_the_first_class(self):
+        # Three levels over five classes: most rows tie two or more classes
+        # at their maximum, and all-equal rows must give class 0.
+        rng = np.random.default_rng(13)
+        scores = rng.integers(0, 3, size=(64, 5, 50)).astype(float).transpose(0, 2, 1)
+        scores[0] = 1.0
+        ties = (scores == scores.max(axis=-1, keepdims=True)).sum(axis=-1) > 1
+        assert ties.mean() > 0.5
+        preds = _argmax_classes(scores)
+        np.testing.assert_array_equal(preds, scores.argmax(axis=-1))
+        assert (preds[0] == 0).all()
+
+
+def pinned_input():
+    """Three members of falling quality over 100 seeded samples."""
+    rng = np.random.default_rng(20231)
+    labels = rng.permutation(np.arange(100) % 5)
+    mats = []
+    for j, strength in enumerate((1.8, 1.4, 1.0)):
+        logits = rng.standard_normal((100, 5)) + strength * np.eye(5)[labels]
+        probs = np.exp(logits)
+        mats.append(mat(probs / probs.sum(axis=1, keepdims=True), f"m{j}"))
+    return mats, labels
+
+
+# tune(pinned_input(), budget=20_000, seed=0) per variant: weights, powers, F1.
+PINNED_TUNES = {
+    "weighted": (
+        (0.01409772455606027, 0.011593737611566008, 0.010366016581378977),
+        (1.0, 1.0, 1.0),
+        0.9202063789868669,
+    ),
+    "power": (
+        (0.03522474912234611, 0.038106851720904736, 0.01),
+        (0.3901614182262478,) * 3,
+        0.9204627892432771,
+    ),
+    "unified": ((0.5, 0.2, 0.1), (0.125, 1.0, 0.25), 0.9302063789868669),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_TUNES))
+def test_tuned_results_are_pinned(variant):
+    # Any change to the blend's rounding or the tie-break moves these.
+    mats, labels = pinned_input()
+    result = tune(mats, labels, variant, budget=20_000, seed=0)
+    assert (result.spec.weights, result.spec.powers, result.f1) == PINNED_TUNES[variant]
 
 
 class TestGrids:

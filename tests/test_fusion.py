@@ -91,6 +91,13 @@ class TestAttentionWeights:
         short_ab, _ = b.co_attend(a_seq, b_short)
         np.testing.assert_allclose(masked_ab.data, short_ab.data, atol=1e-6)
 
+    @pytest.mark.parametrize("b_len", [0, -2])
+    def test_nonpositive_valid_length_raises(self, b_len):
+        # 0 would softmax over no keys (NaN rows); -2 would mask the wrong keys.
+        a_seq, b_seq = seqs(la=3, lb=4)
+        with pytest.raises(ValueError, match=f"length {b_len} must be at least 1"):
+            block().co_attend(a_seq, b_seq, b_len=b_len)
+
     def test_scaling_flag_changes_scores(self):
         a_seq, b_seq = seqs()
         default = block(seed=3)
@@ -184,6 +191,11 @@ class TestAggregate:
         np.testing.assert_allclose(aggregate(x, length=2, mode="mean").data, [2.0])
         out = aggregate(x, length=2, mode="mean_max_last").data
         np.testing.assert_allclose(out, [2.0, 3.0, 3.0])
+
+    def test_zero_length_raises(self):
+        x = Tensor.constant(np.ones((3, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="length 0 must be at least 1"):
+            aggregate(x, length=0)
 
     def test_unknown_mode(self):
         x = Tensor.constant(np.zeros((2, 2), dtype=np.float32))
