@@ -368,8 +368,11 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
-    e = x - np.max(x, axis=axis, keepdims=True)
+def _softmax_forward(
+    x: np.ndarray, axis: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Softmax of x along axis, written into out (x itself may be out)."""
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
@@ -397,12 +400,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last axis {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         gxhat = g * gain.data
@@ -421,13 +424,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 def _keep_mask(
     shape: tuple, dtype, p: float, rng: Optional[np.random.Generator]
-) -> Optional[np.ndarray]:
-    """Inverted-dropout multiplier drawn from rng; None when dropout is the identity."""
+) -> Optional[tuple]:
+    """Inverted dropout drawn from rng as (boolean keep mask, 1 / (1 − p) in
+    dtype); None when dropout is the identity.
+
+    x is dropped as (x * scale) * mask. Multiplying by 0 keeps the sign, so
+    that equals x times a float mask of 0 and scale bit for bit, at a
+    quarter of a float32 mask's bytes.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0 or rng is None:
         return None
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+    cast = np.dtype(dtype).type
+    return rng.random(shape) >= p, cast(1.0) / cast(1.0 - p)
+
+
+def _drop(x: np.ndarray, drawn: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x dropped by a _keep_mask draw, (x * scale) * mask, written into out."""
+    keep, s = drawn
+    out = np.multiply(x, s, out=out)
+    out *= keep
+    return out
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -436,14 +454,68 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> T
     The generator is the dropout mode: training passes its seeded generator,
     inference passes none, so every mask comes from an explicitly seeded rng.
     """
-    keep = _keep_mask(x.shape, x.dtype, p, rng)
-    if keep is None:
+    drawn = _keep_mask(x.shape, x.dtype, p, rng)
+    if drawn is None:
         return x
 
     def backward(g):
-        return (g * keep,)
+        return (_drop(g, drawn),)
 
-    return _make(x.data * keep, (x,), backward)
+    return _make(_drop(x.data, drawn), (x,), backward)
+
+
+def feed_forward(
+    x: Tensor,
+    W1: Tensor,
+    b1: Tensor,
+    W2: Tensor,
+    b2: Tensor,
+    p: float,
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """dropout(dropout(relu(x·W1 + b1))·W2 + b2) on [rows × d] x, as one node.
+
+    The arithmetic and the two dropout draws, in order, are those of the
+    composed matmul/add/relu/dropout ops; the ReLU mask goes to the
+    record_relu_signs taps as relu's does. Backward keeps only the ReLU
+    mask, the dropped hidden rows and the two keep masks, not the
+    pre-activation and output intermediates that the composed ops hold.
+    """
+    if (x.ndim != 2 or b1.ndim != 1 or b2.ndim != 1
+            or W1.shape != (x.shape[1], b1.shape[0])
+            or W2.shape != (b1.shape[0], b2.shape[0])):
+        raise ShapeError(
+            f"feed_forward: x {x.shape}, W1 {W1.shape}, b1 {b1.shape}, W2 {W2.shape} "
+            f"and b2 {b2.shape} do not fit [n,d]·[d,m] + [m], [m,o] + [o]"
+        )
+    h = x.data @ W1.data
+    h += b1.data
+    active = h > 0  # subgradient at exactly 0 is 0
+    for tap in _relu_taps:
+        tap.append(active)
+    h *= active
+    drawn_h = _keep_mask(h.shape, h.dtype, p, rng)
+    if drawn_h is not None:
+        _drop(h, drawn_h, out=h)
+    out = h @ W2.data
+    out += b2.data
+    drawn_out = _keep_mask(out.shape, out.dtype, p, rng)
+    if drawn_out is not None:
+        _drop(out, drawn_out, out=out)
+
+    def backward(g):
+        if drawn_out is not None:
+            g = _drop(g, drawn_out)
+        gW2 = h.T @ g if W2.requires_grad else None
+        gh = g @ W2.data.T
+        if drawn_h is not None:
+            _drop(gh, drawn_h, out=gh)
+        gh *= active
+        gx = gh @ W1.data.T if x.requires_grad else None
+        gW1 = x.data.T @ gh if W1.requires_grad else None
+        return gx, gW1, _unbroadcast(gh, b1.shape), gW2, _unbroadcast(g, b2.shape)
+
+    return _make(out, (x, W1, b1, W2, b2), backward)
 
 
 # attention_core pads a run of consecutive segments into one
@@ -567,7 +639,7 @@ def attention_core(
         for (qs, qe, _), (ks, ke, _) in zip(query_segs, key_segs)
     )]
     keep_all = _keep_mask((offsets[-1],), np.result_type(q, k), p, rng)
-    saved = []  # per run: row spans, row masks, weights and keep mask
+    saved = []  # per run: row spans, row masks, weights and keep draw
     for first, stop in _runs(query_segs, key_segs, heads):
         q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
         q_span, k_span = (q_segs[0][0], q_segs[-1][1]), (k_segs[0][0], k_segs[-1][1])
@@ -583,19 +655,20 @@ def attention_core(
             valid = np.array([seg[2] for seg in k_segs])[:, None]
             key_mask = np.where(np.arange(k_rows.shape[1]) < valid, 0.0, -np.inf)
             scores += np.repeat(key_mask.astype(scores.dtype), heads, axis=0)[:, None]
-        w = _softmax_forward(scores, -1)
-        keep = None if keep_all is None else keep_all[offsets[first] : offsets[stop]]
-        if keep is not None:
+        w = _softmax_forward(scores, -1, out=scores)
+        keep = None
+        if keep_all is not None:
+            keep = keep_all[0][offsets[first] : offsets[stop]]
             if q_rows is not None:
                 # Segment-major order: the draws fill each segment's
                 # [H × q × k] block in turn, as per-segment draws would.
                 region = (q_rows[:, :, None] & k_rows[:, None, :])[:, None]
                 region = np.repeat(region, heads, axis=1)
-                placed = np.zeros(region.shape, keep.dtype)
+                placed = np.zeros(region.shape, bool)
                 placed[region] = keep
                 keep = placed
-            keep = keep.reshape(w.shape)
-        dropped = w if keep is None else w * keep
+            keep = (keep.reshape(w.shape), keep_all[1])
+        dropped = w if keep is None else _drop(w, keep)
         scatter(out, q_span, dropped @ bv, q_rows)
         if tracked:
             saved.append((q_span, k_span, q_rows, k_rows, w, keep))
@@ -614,11 +687,11 @@ def attention_core(
             # padded blocks at once, and a gather costs less than its memory.
             bq, bg = gather(q, q_span, q_rows), gather(g, q_span, q_rows)
             bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
-            dropped = w if keep is None else w * keep
+            dropped = w if keep is None else _drop(w, keep)
             scatter(gv, k_span, dropped.swapaxes(-1, -2) @ bg, k_rows)
             gw = bg @ bv.swapaxes(-1, -2)
             if keep is not None:
-                gw *= keep
+                _drop(gw, keep, out=gw)
             # The softmax rule of _softmax_backward, computed in gw.
             gw -= np.sum(gw * w, axis=-1, keepdims=True)
             gw *= w

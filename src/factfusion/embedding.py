@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, add, matmul, relu
+from .autograd import ShapeError, Tensor, add, feed_forward, matmul, relu
 from .data import STREAMS
 
 TAIL_MODES = ("adapter_only", "all", "frozen")
@@ -109,7 +109,7 @@ class BackboneTail:
         return self.trainable_scope != "frozen"
 
     def ffn(self, x: Tensor) -> Tensor:
-        return add(matmul(relu(add(matmul(x, self.W1), self.b1)), self.W2), self.b2)
+        return feed_forward(x, self.W1, self.b1, self.W2, self.b2, 0.0)
 
     def adapter(self, x: Tensor) -> Tensor:
         return add(add(matmul(x, self.adapter_W), self.adapter_b), self.adapter_v)

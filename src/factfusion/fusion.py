@@ -15,10 +15,11 @@ a generator is passed: training hands its seeded rng down, inference none.
 A whole batch fuses in one pass: each stream arrives as its samples' rows
 packed into one [sum(rows) x d] tensor plus the per-sample row counts.
 Everything position-wise (projections, feed-forward, layer norms, pooling)
-runs once on the packed rows; only the attention core works per sample, on
-that sample's row ranges. That core is one autograd node per direction
-(autograd.attention_core), which takes the packed [rows x d] Q/K/V and owns
-the head split, query scaling and head merge. It cuts the samples, in
+runs once on the packed rows, and each direction's feed-forward sublayer is
+one autograd node (autograd.feed_forward). Only the attention core works per
+sample, on that sample's row ranges. That core is one autograd node per
+direction (autograd.attention_core), which takes the packed [rows x d] Q/K/V
+and owns the head split, query scaling and head merge. It cuts the samples, in
 order, into runs whose padded [samples*heads x longest query x longest key]
 score block stays within autograd.PACK_BUDGET entries: a run of small
 samples is padded into one batch with a -inf key mask, and a sample too big
@@ -41,11 +42,10 @@ from .autograd import (
     add,
     attention_core,
     concat,
-    dropout,
+    feed_forward,
     getitem,
     layer_norm,
     matmul,
-    relu,
     reshape,
 )
 from .data import STREAMS as STREAM_ORDER
@@ -125,10 +125,9 @@ class CoAttentionBlock:
         self, residual: Tensor, context: Tensor, rng: Optional[np.random.Generator]
     ) -> Tensor:
         z = layer_norm(add(residual, context), self.norm1_gain, self.norm1_bias)
-        h = relu(add(matmul(z, self.ffn_W1), self.ffn_b1))
-        h = dropout(h, self.dropout_rate, rng)
-        f = add(matmul(h, self.ffn_W2), self.ffn_b2)
-        f = dropout(f, self.dropout_rate, rng)
+        f = feed_forward(
+            z, self.ffn_W1, self.ffn_b1, self.ffn_W2, self.ffn_b2, self.dropout_rate, rng
+        )
         return layer_norm(add(f, z), self.norm2_gain, self.norm2_bias)
 
     def co_attend(

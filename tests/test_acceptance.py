@@ -176,6 +176,18 @@ def _op_cases(rng):
         ),
         {"attention.q": aq, "attention.k": ak, "attention.v": av},
     )
+
+    # 1-, 3- and 1-row samples packed into 5 rows; the guard skips any probe
+    # that moves a hidden unit across the ReLU kink.
+    fx, fw1, fb1 = _p(rng, 5, 4), _p(rng, 4, 6), _p(rng, 6)
+    fw2, fb2 = _p(rng, 6, 3), _p(rng, 3)
+    ffn_seed = int(rng.integers(1 << 30))
+    case(
+        lambda: ag.feed_forward(
+            fx, fw1, fb1, fw2, fb2, 0.3, np.random.default_rng(ffn_seed)
+        ),
+        {"ffn.x": fx, "ffn.W1": fw1, "ffn.b1": fb1, "ffn.W2": fw2, "ffn.b2": fb2},
+    )
     return cases
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factfusion.autograd import (
+    _keep_mask,
     _runs,
     GraphError,
     ShapeError,
@@ -17,6 +18,7 @@ from factfusion.autograd import (
     concat,
     dropout,
     exp,
+    feed_forward,
     getitem,
     layer_norm,
     log,
@@ -292,6 +294,16 @@ class TestDropout:
         b = dropout(x, 0.5, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keep_mask_is_boolean_and_drops_as_a_float_mask_would(self, dtype):
+        x = np.random.default_rng(2).standard_normal((6, 7)).astype(dtype)
+        keep, s = _keep_mask(x.shape, dtype, 0.3, np.random.default_rng(8))
+        float_keep = (np.random.default_rng(8).random(x.shape) >= 0.3).astype(dtype) / (1 - 0.3)
+        assert keep.dtype == bool and s.dtype == dtype
+        dropped = dropout(Tensor.constant(x), 0.3, np.random.default_rng(8)).data
+        assert dropped.dtype == dtype
+        assert (x * float_keep).tobytes() == dropped.tobytes()
+
     def test_gradient_masks_match_forward(self, rng):
         x = Tensor.param(rng.standard_normal((5, 5)), dtype=np.float64)
         out = dropout(x, 0.4, rng=np.random.default_rng(11))
@@ -525,6 +537,67 @@ class TestAttentionCore:
             q_segs, k_segs = packed_segments((q.shape[0],)), packed_segments((k.shape[0],))
             with pytest.raises(ShapeError, match="attention_core"):
                 attention_core(q, k, v, heads, 1.0, q_segs, k_segs, 0.0, None)
+
+
+def feed_forward_reference(x, W1, b1, W2, b2, p, rng):
+    """feed_forward's meaning, composed from primitive ops."""
+    h = dropout(relu(add(matmul(x, W1), b1)), p, rng)
+    return dropout(add(matmul(h, W2), b2), p, rng)
+
+
+class TestFeedForward:
+    # Packed samples of 1 to 4 rows, two of them a single row.
+    ROWS, D, INNER, OUT, P = (1, 3, 1, 4), 6, 10, 6, 0.3
+
+    def run(self, op, dtype, training, taps=None):
+        """Output, gradients of every input and the generator after op."""
+        rng = np.random.default_rng(12)
+        x = Tensor.param(rng.standard_normal((sum(self.ROWS), self.D)), dtype=dtype)
+        W1 = Tensor.param(rng.standard_normal((self.D, self.INNER)), dtype=dtype)
+        b1 = Tensor.param(rng.standard_normal(self.INNER), dtype=dtype)
+        W2 = Tensor.param(rng.standard_normal((self.INNER, self.OUT)), dtype=dtype)
+        b2 = Tensor.param(rng.standard_normal(self.OUT), dtype=dtype)
+        readout = Tensor.constant(rng.standard_normal((sum(self.ROWS), self.OUT)), dtype=dtype)
+        drop_rng = np.random.default_rng(13) if training else None
+        with record_relu_signs([] if taps is None else taps):
+            out = op(x, W1, b1, W2, b2, self.P, drop_rng)
+        tensor_sum(out * readout).backward()
+        return [out.data] + [t.grad for t in (x, W1, b1, W2, b2)], drop_rng
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_primitive_composition_bitwise(self, training):
+        got, _ = self.run(feed_forward, np.float32, training)
+        want, _ = self.run(feed_forward_reference, np.float32, training)
+        for name, g, w in zip(("out", "dx", "dW1", "db1", "dW2", "db2"), got, want):
+            assert g.dtype == np.float32, name
+            assert np.array_equal(g, w), name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+
+    def test_draws_what_the_composition_draws(self):
+        _, got = self.run(feed_forward, np.float32, True)
+        _, want = self.run(feed_forward_reference, np.float32, True)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    def test_records_its_relu_mask(self):
+        got, want = [], []
+        self.run(feed_forward, np.float32, True, taps=got)
+        self.run(feed_forward_reference, np.float32, True, taps=want)
+        assert len(got) == len(want) == 1
+        assert got[0].dtype == bool
+        np.testing.assert_array_equal(got[0], want[0])
+
+    def test_mismatched_shapes_raise(self):
+        x = Tensor.constant(np.zeros((3, 4)))
+        W1, b1 = Tensor.constant(np.zeros((4, 5))), Tensor.constant(np.zeros(5))
+        W2, b2 = Tensor.constant(np.zeros((5, 2))), Tensor.constant(np.zeros(2))
+        for args in [
+            (x, W1, Tensor.constant(np.zeros(4)), W2, b2),  # b1 misses W1's width
+            (x, W1, b1, Tensor.constant(np.zeros((4, 2))), b2),  # W2 misses the inner width
+            (x, W1, b1, W2, Tensor.constant(np.zeros((1, 2)))),  # b2 not a vector
+            (Tensor.constant(np.zeros((2, 3, 4))), W1, b1, W2, b2),  # x not 2-D
+        ]:
+            with pytest.raises(ShapeError, match="feed_forward"):
+                feed_forward(*args, 0.0)
 
 
 class TestReluTaps:

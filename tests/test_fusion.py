@@ -167,9 +167,11 @@ class TestGraphSize:
 
     def test_head_layout_adds_no_nodes(self):
         # 2 inputs + 11 parameters + 6 Q/K/V projections + 2 attention cores
-        # + 2 x 11 residual/feed-forward/norm ops: the head split, query
-        # scaling and head merge all live inside the attention core node.
-        assert self.nodes(3) == 43
+        # + 2 x 5 residual/feed-forward/norm ops: the head split, query
+        # scaling and head merge live inside the attention core node, and
+        # both feed-forward matmuls, biases, the ReLU and both dropouts
+        # inside the feed-forward node.
+        assert self.nodes(3) == 31
 
 
 class TestAggregate:

@@ -125,6 +125,60 @@ class TestForward:
             np.testing.assert_array_equal(pa.data, b.parameters()[name].data)
 
 
+def held_arrays(*roots):
+    """The arrays a training graph keeps alive: every node's output and
+    every array its backward closure captured, directly or in a tuple or
+    list, each counted once by the buffer it views."""
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+
+    held, seen, stack = {}, {id(r) for r in roots}, list(roots)
+    while stack:
+        node = stack.pop()
+        cells = (node._backward.__closure__ or ()) if node._backward else ()
+        for value in [node.data, *(cell.cell_contents for cell in cells)]:
+            for a in arrays(value):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                held[id(a)] = a
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return list(held.values())
+
+
+class TestGraphMemory:
+    # Bytes held by the graph below. With float32 keep masks and each
+    # feed-forward sublayer as seven composed nodes it held 404,712.
+    HELD_BYTES = 281_304
+
+    def held(self):
+        model = make_model(dropout=0.1)
+        batch, feats = fake_batch(model, n=4)
+        probs, hidden = model.forward_batch(
+            batch, feats, training=True, rng=np.random.default_rng(3)
+        )
+        return held_arrays(probs, hidden)
+
+    def test_dropout_masks_are_boolean(self):
+        scale = np.float32(1.0) / np.float32(0.9)
+        held = self.held()
+        float_masks = [
+            a.shape for a in held
+            if a.dtype != bool and np.any(a == scale) and np.all((a == 0) | (a == scale))
+        ]
+        assert float_masks == []
+        assert any(a.dtype == bool for a in held)
+
+    def test_bytes_stay_within_the_recorded_total(self):
+        assert sum(a.nbytes for a in self.held()) <= self.HELD_BYTES
+
+
 class TestParameterGroups:
     def test_two_groups_with_rates(self):
         model = make_model(learning_rate=3e-4, tail_learning_rate=7e-5)
