@@ -378,8 +378,14 @@ def _softmax_forward(
     return e
 
 
-def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    return out * (g - np.sum(g * out, axis=axis, keepdims=True))
+def _softmax_backward(
+    y: np.ndarray, g: np.ndarray, axis: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Gradient through softmax output y for upstream g, y · (g − Σ g·y),
+    written into out (g itself may be out)."""
+    out = np.subtract(g, np.sum(g * y, axis=axis, keepdims=True), out=out)
+    out *= y
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -577,25 +583,27 @@ def attention_core(
     """Segment-wise multi-head attention over packed rows, as one graph node.
 
     queries [Σq × d], keys and values [Σk × d] hold the rows of several
-    samples. The core owns the head layout: it splits the rows into `heads`
-    heads [H × rows × d/H], scales the queries by `scale` and merges the
-    result back into [Σq × d]. Segment i is a (start, stop, valid) row range:
-    query rows qs:qe attend to key rows ks:ke through softmax(q·kᵀ), key rows
-    past ks + valid getting exactly zero weight, then inverted dropout (drawn
-    from rng; none without one), then ·v.
+    samples, each row its `heads` heads of width d/H side by side. The core
+    reads and writes that row layout itself: it scales the queries by
+    `scale`, and its output and gradients are [rows × d]. Segment i is a
+    (start, stop, valid) row range: query rows qs:qe attend to key rows
+    ks:ke through softmax(q·kᵀ), key rows past ks + valid getting exactly
+    zero weight, then inverted dropout (drawn from rng; none without one),
+    then ·v.
 
     The segments are cut, in order, into runs (see _runs and PACK_BUDGET).
-    A run of several segments is gathered through boolean row masks into one
-    zero-padded [n·H × Lq × e] batch, segment-major, whose padded and invalid
-    keys get a −inf additive mask. It then takes one matmul, one softmax and
-    one matmul each way, forward and backward, and is scattered back; the
-    padding changes only the order in which floats are summed. A run of one
-    segment is computed on that segment's slices with the reshape,
-    transpose, scale, matmul, softmax and dropout rules in that
-    composition's order. The dropout mask of the whole call is one
-    rng.random(Σ H·q·k) draw, laid out segment after segment as per-segment
-    [H × q × k] draws would be. Each segment's [H × q × k] pre-dropout
-    weights are appended to `weights` if it is a list.
+    Every run is one [n·H × Lq × Lk] score block, segment-major, that takes
+    one matmul, one softmax and one matmul each way, forward and backward.
+    A run of several segments is gathered through boolean row masks into a
+    zero-padded [n·H × L × e] batch and scattered back; the padding changes
+    only the order in which floats are summed. A run of one segment reads
+    and writes its rows through [H × L × e] views, unpadded. In every run,
+    each segment's keys from `valid` on, padded ones included, are set to
+    −inf before the softmax. The dropout mask of the whole call is one
+    rng.random(Σ H·q·k) draw, laid out segment after segment as
+    per-segment [H × q × k] draws would be; each segment's block is placed
+    at its corner of the run's score block. Each segment's [H × q × k]
+    pre-dropout weights are appended to `weights` if it is a list.
     """
     if (queries.ndim != 2 or queries.shape[1:] != keys.shape[1:]
             or keys.shape != values.shape or keys.shape[1] % heads
@@ -605,35 +613,30 @@ def attention_core(
             f"{values.shape} do not fit [q,d] / [k,d] / [k,d], d a multiple of {heads}, "
             f"or {len(query_segs)} query segments meet {len(key_segs)} key segments"
         )
-    (n_q, d), e, s = queries.shape, queries.shape[1] // heads, float(scale)
-
-    def split(x: np.ndarray) -> np.ndarray:
-        return np.transpose(x.reshape((x.shape[0], heads, e)), (1, 0, 2))
-
-    def merge(x: np.ndarray) -> np.ndarray:
-        return np.transpose(x, (1, 0, 2)).reshape((x.shape[1], d))
+    e, s = queries.shape[1] // heads, float(scale)
 
     def gather(x: np.ndarray, span: tuple, rows: Optional[np.ndarray]) -> np.ndarray:
-        """x[:, span] for one segment, or its rows zero-padded into
-        [n·H × L × w] by the [n × L] mask of each segment's rows."""
-        x = x[:, span[0] : span[1]]
+        """x[span]'s rows as [H × L × e] heads for one segment, or zero-padded
+        into [n·H × L × e] by the [n × L] mask of each segment's rows."""
+        x = x[span[0] : span[1]].reshape((-1, heads, e))
         if rows is None:
-            return x
-        padded = np.zeros((rows.shape[0], heads, rows.shape[1], x.shape[2]), x.dtype)
-        padded.transpose(1, 0, 2, 3)[:, rows] = x
+            return x.transpose(1, 0, 2)
+        padded = np.zeros((rows.shape[0], heads, rows.shape[1], e), x.dtype)
+        padded.transpose(0, 2, 1, 3)[rows] = x
         return padded.reshape((-1,) + padded.shape[2:])
 
     def scatter(into: np.ndarray, span: tuple, x: np.ndarray, rows: Optional[np.ndarray]) -> None:
-        """Write what gather(·, span, rows) read back into `into`."""
-        if rows is not None:
-            x = x.reshape((rows.shape[0], heads) + x.shape[1:])
-            x = x.transpose(1, 0, 2, 3)[:, rows]
-        into[:, span[0] : span[1]] = x
+        """Write what gather(·, span, rows) read back into `into`'s rows."""
+        if rows is None:
+            x = x.transpose(1, 0, 2)
+        else:
+            x = x.reshape((rows.shape[0], heads) + x.shape[1:]).transpose(0, 2, 1, 3)[rows]
+        into[span[0] : span[1]].reshape((-1, heads, e))[...] = x
 
-    q, k, v = split(queries.data) * s, split(keys.data), split(values.data)
+    q, k, v = queries.data * s, keys.data, values.data
     parents = (queries, keys, values)
     tracked = _tracked(parents)
-    out = np.zeros((heads, n_q, e), dtype=np.result_type(q, k, v))
+    out = np.zeros(q.shape, dtype=np.result_type(q, k, v))
     offsets = [0, *itertools.accumulate(
         heads * (qe - qs) * (ke - ks)
         for (qs, qe, _), (ks, ke, _) in zip(query_segs, key_segs)
@@ -649,25 +652,16 @@ def attention_core(
         bq = gather(q, q_span, q_rows)
         bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
         scores = bq @ bk.swapaxes(-1, -2)
-        if k_rows is None:
-            scores[..., k_segs[0][2]:] = -np.inf
-        else:
-            valid = np.array([seg[2] for seg in k_segs])[:, None]
-            key_mask = np.where(np.arange(k_rows.shape[1]) < valid, 0.0, -np.inf)
-            scores += np.repeat(key_mask.astype(scores.dtype), heads, axis=0)[:, None]
+        keep = None if keep_all is None else (np.zeros(scores.shape, bool), keep_all[1])
+        for i, ((qs, qe, _), (ks, ke, valid)) in enumerate(zip(q_segs, k_segs)):
+            heads_i = slice(i * heads, (i + 1) * heads)
+            scores[heads_i, :, valid:] = -np.inf
+            if keep is not None:
+                drawn = keep_all[0][offsets[first + i] : offsets[first + i + 1]]
+                keep[0][heads_i, : qe - qs, : ke - ks] = (
+                    drawn.reshape((heads, qe - qs, ke - ks))
+                )
         w = _softmax_forward(scores, -1, out=scores)
-        keep = None
-        if keep_all is not None:
-            keep = keep_all[0][offsets[first] : offsets[stop]]
-            if q_rows is not None:
-                # Segment-major order: the draws fill each segment's
-                # [H × q × k] block in turn, as per-segment draws would.
-                region = (q_rows[:, :, None] & k_rows[:, None, :])[:, None]
-                region = np.repeat(region, heads, axis=1)
-                placed = np.zeros(region.shape, bool)
-                placed[region] = keep
-                keep = placed
-            keep = (keep.reshape(w.shape), keep_all[1])
         dropped = w if keep is None else _drop(w, keep)
         scatter(out, q_span, dropped @ bv, q_rows)
         if tracked:
@@ -680,8 +674,8 @@ def attention_core(
             )
 
     def backward(g):
-        g = split(g)
-        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        # C order, as out is, so that scatter's row views write through.
+        gq, gk, gv = (np.zeros(x.shape, x.dtype) for x in (q, k, v))
         for q_span, k_span, q_rows, k_rows, w, keep in saved:
             # Gathered again rather than kept: a step holds every direction's
             # padded blocks at once, and a gather costs less than its memory.
@@ -692,14 +686,13 @@ def attention_core(
             gw = bg @ bv.swapaxes(-1, -2)
             if keep is not None:
                 _drop(gw, keep, out=gw)
-            # The softmax rule of _softmax_backward, computed in gw.
-            gw -= np.sum(gw * w, axis=-1, keepdims=True)
-            gw *= w
+            _softmax_backward(w, gw, -1, out=gw)
             scatter(gq, q_span, gw @ bk, q_rows)
             scatter(gk, k_span, (bq.swapaxes(-1, -2) @ gw).swapaxes(-1, -2), k_rows)
-        return merge(gq * s), merge(gk), merge(gv)
+        gq *= s
+        return gq, gk, gv
 
-    return _make(merge(out), parents, backward)
+    return _make(out, parents, backward)
 
 
 # -- shape and reduction ops --------------------------------------------------

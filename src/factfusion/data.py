@@ -171,6 +171,8 @@ def _load_ref(emb_dir: Path, ref: Optional[str], sample_id: str, stream: str) ->
         )
     if arr.shape[0] == 0:
         raise ValueError(f"sample {sample_id}: {stream} embedding has no rows")
+    if arr.shape[1] == 0:
+        raise ValueError(f"sample {sample_id}: {stream} embedding has no columns")
     if not np.isfinite(arr).all():
         raise ValueError(
             f"sample {sample_id}: {stream} embedding holds a non-finite value"
@@ -184,8 +186,8 @@ def ingest(manifest: DatasetManifest, max_seq_len: int = 512) -> Iterator[dict]:
     Item i belongs to manifest.records[i]; every array is truncated to
     max_seq_len rows. Every stream, in STREAMS order, is read from the file
     its ref names. A missing or empty ref, a missing file, a stream with no
-    rows or with a non-finite value, and streams of different widths are
-    rejected with a ValueError naming the sample.
+    rows, no columns or a non-finite value, and streams of different widths
+    are rejected with a ValueError naming the sample.
     """
     emb_dir = Path(manifest.embedding_dir)
     for rec in manifest.records:
@@ -267,6 +269,8 @@ def synthesize(
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
+    if d_backbone < 1:
+        raise ValueError("d_backbone must be at least 1")
     out_dir = Path(out_dir)
     emb_dir = out_dir / "embeddings"
     emb_dir.mkdir(parents=True, exist_ok=True)

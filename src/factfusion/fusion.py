@@ -18,15 +18,17 @@ Everything position-wise (projections, feed-forward, layer norms, pooling)
 runs once on the packed rows, and each direction's feed-forward sublayer is
 one autograd node (autograd.feed_forward). Only the attention core works per
 sample, on that sample's row ranges. That core is one autograd node per
-direction (autograd.attention_core), which takes the packed [rows x d] Q/K/V
-and owns the head split, query scaling and head merge. It cuts the samples, in
-order, into runs whose padded [samples*heads x longest query x longest key]
-score block stays within autograd.PACK_BUDGET entries: a run of small
-samples is padded into one batch with a -inf key mask, and a sample too big
-to share a block runs alone on its own rows, unpadded. A single unpacked
-sample may instead be padded by the caller, with a_len/b_len/lengths
-marking its valid prefix; it is a run of one, and masked key positions
-receive exactly zero attention.
+direction (autograd.attention_core), which takes the packed [rows x d] Q/K/V,
+scales the queries and returns packed [rows x d] rows, reading and writing
+each row's heads in place. It cuts the samples, in order, into runs whose
+padded [samples*heads x longest query x longest key] score block stays
+within autograd.PACK_BUDGET entries: a run of small samples is padded into
+one batch, and a sample too big to share a block runs alone on views of its
+own rows, unpadded. In every run, each sample's padded and invalid key
+scores are set to -inf before the softmax. A single unpacked sample may
+instead be padded by the caller, with a_len/b_len/lengths marking its valid
+prefix; it is a run of one, and masked key positions receive exactly zero
+attention.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from factfusion.autograd import (
     _keep_mask,
     _runs,
+    _softmax_backward,
     GraphError,
     ShapeError,
     Tensor,
@@ -100,6 +101,12 @@ class TestForwardValues:
         want = np.exp(x - np.max(x, axis=-1, keepdims=True))
         want = want / np.sum(want, axis=-1, keepdims=True)
         assert np.array_equal(softmax(Tensor.constant(x), axis=-1).data, want)
+        # The backward rule, returned fresh or written into g, is the plain
+        # expression too.
+        g = (rng.standard_normal(shape) * 3).astype(np.float32)
+        want_g = want * (g - np.sum(g * want, axis=-1, keepdims=True))
+        assert np.array_equal(_softmax_backward(want, g, -1), want_g)
+        assert np.array_equal(_softmax_backward(want, g, -1, out=g), want_g)
 
     def test_relu_zero_and_negative(self):
         out = relu(Tensor.constant([-2.0, 0.0, 3.0]))

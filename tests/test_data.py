@@ -95,6 +95,8 @@ class TestSynthesize:
     def test_rejects_empty_request(self, tmp_path):
         with pytest.raises(ValueError, match="n_per_class"):
             synthesize(0, 8, 0, tmp_path)
+        with pytest.raises(ValueError, match="d_backbone"):
+            synthesize(1, 0, 0, tmp_path)
 
     def test_text_relation_reflected_in_strings(self, tmp_path):
         m = synthesize(6, 8, 3, tmp_path, "train")
@@ -223,6 +225,12 @@ class TestIngest:
             np.zeros((0, 8), dtype=np.float32),
         )
         with pytest.raises(ValueError, match=f"sample {victim.sample_id}: DI .* no rows"):
+            list(ingest(m))
+        write_tensor(
+            tmp_path / "embeddings" / victim.doc_image_embedding_ref,
+            np.zeros((4, 0), dtype=np.float32),
+        )
+        with pytest.raises(ValueError, match=f"sample {victim.sample_id}: DI .* no columns"):
             list(ingest(m))
 
     def test_non_finite_embedding_names_sample_and_stream(self, tmp_path):
