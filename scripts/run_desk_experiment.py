@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Desk-scale experiment: 3 seeds, a text-only ablation, ensemble variants.
+"""Desk-scale experiment: model seeds, a text-only ablation, ensemble variants.
 
 Generates a synthetic 500/100 split, trains the full model at d=64/4 heads
-for three seeds, trains the text-only ablation on the same data, then tunes
-every ensemble variant on the validation probabilities and prints a summary
-table. Artifacts (checkpoints, probability matrices, tuned specs) land under
---out-dir.
+for each seed (three by default), trains the text-only ablation on the same
+data, then tunes every ensemble variant on the validation probabilities and
+prints a summary table. Artifacts (checkpoints, probability matrices, tuned
+specs) land under --out-dir.
+
+A run that trains exactly GATE_SEEDS at the default data and training sizes
+is the desk gate: it prints one gate line and exits 1 if the mean best val
+F1 falls below MEAN_FLOOR or any seed's below SEED_FLOOR. The tuner budget
+does not matter to it.
 
 Runs in a few minutes on one CPU core:
 
     python3 scripts/run_desk_experiment.py --out-dir runs/desk
+    python3 scripts/run_desk_experiment.py --seeds 42 43 44 45 46 47 48 49 50 51 \
+        --budget 2000 --out-dir runs/gate
 """
 
 import argparse
@@ -29,6 +36,18 @@ DESK = dict(
     d=64, heads=4, ff_inner=128, d_m=32, epochs=10, batch_size=24,
     learning_rate=2e-3, tail_learning_rate=2e-3, max_seq_len=64,
 )
+
+# The desk gate's seeds and floors. Shifting the dropout draws alone (a
+# generator that burns one or two doubles per training batch, or a changed
+# draw layout) moved these seeds' mean best F1 over .942-.956 and their
+# minimum over .919-.940, so the floors sit below that spread: the mean's
+# about four standard errors of a ten-seed mean below the lowest mean seen,
+# a seed's about .04 (four val samples) below the lowest seed seen.
+GATE_SEEDS = (42, 43, 44, 45, 46, 47, 48, 49, 50, 51)
+MEAN_FLOOR = 0.92
+SEED_FLOOR = 0.88
+# The options whose defaults the gate's run must keep.
+GATE_SIZES = ("data_seed", "n_train_per_class", "n_val_per_class", "backbone_dim", "epochs")
 
 
 def main() -> int:
@@ -101,7 +120,16 @@ def main() -> int:
     print(f"{'best single seed':<18}  {max(singles):.4f}")
 
     print(f"\ntotal {time.perf_counter() - started:.0f}s; artifacts in {out}")
-    return 0
+    if tuple(args.seeds) != GATE_SEEDS or any(
+        getattr(args, name) != parser.get_default(name) for name in GATE_SIZES
+    ):
+        return 0
+    mean, worst = statistics.fmean(singles), min(singles)
+    passed = mean >= MEAN_FLOOR and worst >= SEED_FLOOR
+    print(f"desk gate {'PASS' if passed else 'FAIL'}: mean best F1 {mean:.4f} "
+          f"(floor {MEAN_FLOOR}), min {worst:.4f} at seed {args.seeds[singles.index(worst)]} "
+          f"(floor {SEED_FLOOR})")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
