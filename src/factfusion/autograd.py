@@ -8,7 +8,6 @@ tensor/parameter creation for those runs.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -599,11 +598,12 @@ def attention_core(
     only the order in which floats are summed. A run of one segment reads
     and writes its rows through [H × L × e] views, unpadded. In every run,
     each segment's keys from `valid` on, padded ones included, are set to
-    −inf before the softmax. The dropout mask of the whole call is one
-    rng.random(Σ H·q·k) draw, laid out segment after segment as
-    per-segment [H × q × k] draws would be; each segment's block is placed
-    at its corner of the run's score block. Each segment's [H × q × k]
-    pre-dropout weights are appended to `weights` if it is a list.
+    −inf before the softmax. Each run draws its own dropout mask in its
+    score block's shape, as dropout would on those weights, so a run of one
+    draws what a per-segment dropout would and a packed run also draws for
+    its padding, whose weights are zero or whose rows are dropped. Each
+    segment's [H × q × k] pre-dropout weights are appended to `weights` if
+    it is a list.
     """
     if (queries.ndim != 2 or queries.shape[1:] != keys.shape[1:]
             or keys.shape != values.shape or keys.shape[1] % heads
@@ -637,11 +637,6 @@ def attention_core(
     parents = (queries, keys, values)
     tracked = _tracked(parents)
     out = np.zeros(q.shape, dtype=np.result_type(q, k, v))
-    offsets = [0, *itertools.accumulate(
-        heads * (qe - qs) * (ke - ks)
-        for (qs, qe, _), (ks, ke, _) in zip(query_segs, key_segs)
-    )]
-    keep_all = _keep_mask((offsets[-1],), np.result_type(q, k), p, rng)
     saved = []  # per run: row spans, row masks, weights and keep draw
     for first, stop in _runs(query_segs, key_segs, heads):
         q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
@@ -652,16 +647,10 @@ def attention_core(
         bq = gather(q, q_span, q_rows)
         bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
         scores = bq @ bk.swapaxes(-1, -2)
-        keep = None if keep_all is None else (np.zeros(scores.shape, bool), keep_all[1])
-        for i, ((qs, qe, _), (ks, ke, valid)) in enumerate(zip(q_segs, k_segs)):
-            heads_i = slice(i * heads, (i + 1) * heads)
-            scores[heads_i, :, valid:] = -np.inf
-            if keep is not None:
-                drawn = keep_all[0][offsets[first + i] : offsets[first + i + 1]]
-                keep[0][heads_i, : qe - qs, : ke - ks] = (
-                    drawn.reshape((heads, qe - qs, ke - ks))
-                )
+        for i, (_, _, valid) in enumerate(k_segs):
+            scores[i * heads : (i + 1) * heads, :, valid:] = -np.inf
         w = _softmax_forward(scores, -1, out=scores)
+        keep = _keep_mask(w.shape, w.dtype, p, rng)
         dropped = w if keep is None else _drop(w, keep)
         scatter(out, q_span, dropped @ bv, q_rows)
         if tracked:

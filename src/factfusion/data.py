@@ -149,12 +149,18 @@ def load_manifest(path) -> DatasetManifest:
     emb_dir = Path(header["embedding_dir"])
     if not emb_dir.is_absolute():
         emb_dir = path.parent / emb_dir
-    records = []
+    records, first_line = [], {}
     for i, line in enumerate(lines[1:], start=2):
         try:
             records.append(RawSample(**json.loads(line)))
         except (ValueError, TypeError) as err:
             raise ValueError(f"{path}:{i}: bad sample record ({err})") from None
+        sample_id = records[-1].sample_id
+        if sample_id in first_line:
+            raise ValueError(
+                f"{path}:{i}: sample id {sample_id!r} repeats line {first_line[sample_id]}"
+            )
+        first_line[sample_id] = i
     return DatasetManifest(split=header["split"], embedding_dir=str(emb_dir), records=records)
 
 

@@ -162,8 +162,12 @@ class FeatureScaler:
                     f"scaler entry {name!r} has shape {arr.shape}, "
                     f"expected ({FEATURE_DIM},)"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"scaler entry {name!r} holds a non-finite value")
             arrays.append(arr)
         mean, std = arrays
+        if (std <= 0).any():
+            raise ValueError(f"scaler entry {SCALER_ENTRIES[1]!r} holds a std <= 0")
         return cls(mean=mean, std=std)
 
     def entries(self) -> dict[str, np.ndarray]:

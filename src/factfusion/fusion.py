@@ -25,10 +25,11 @@ padded [samples*heads x longest query x longest key] score block stays
 within autograd.PACK_BUDGET entries: a run of small samples is padded into
 one batch, and a sample too big to share a block runs alone on views of its
 own rows, unpadded. In every run, each sample's padded and invalid key
-scores are set to -inf before the softmax. A single unpacked sample may
-instead be padded by the caller, with a_len/b_len/lengths marking its valid
-prefix; it is a run of one, and masked key positions receive exactly zero
-attention.
+scores are set to -inf before the softmax, and in training the run draws
+its own attention-dropout mask in its score block's shape, padding
+included. A single unpacked sample may instead be padded by the caller,
+with a_len/b_len/lengths marking its valid prefix; it is a run of one, and
+masked key positions receive exactly zero attention.
 """
 
 from __future__ import annotations

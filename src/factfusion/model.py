@@ -156,8 +156,9 @@ class VerificationModel:
     def load_state(self, entries: dict) -> None:
         """Load every parameter; a checkpoint may also carry the feature scaler.
 
-        Every name and shape is checked before any parameter is assigned, so
-        a rejected checkpoint leaves the model as it was. Any other entry (a
+        Every name, shape and value is checked before any parameter is
+        assigned, so a rejected checkpoint (a NaN or inf in any parameter
+        included) leaves the model as it was. Any other entry (a
         stale or misspelt parameter name, say) raises ValueError rather than
         being ignored.
         """
@@ -175,6 +176,8 @@ class VerificationModel:
                     f"parameter {name!r}: checkpoint shape {stored.shape} does not "
                     f"match model shape {param.data.shape}"
                 )
+            if not np.isfinite(stored).all():
+                raise ValueError(f"parameter {name!r} holds a non-finite value")
             loaded[name] = stored.astype(param.data.dtype, copy=True)
         for name, param in params.items():
             param.data = loaded[name]

@@ -350,18 +350,39 @@ def segment_attention(q, k_t, v, q_seg, k_seg, drop):
     return matmul(dropped, getitem(v, (slice(None), slice(ks, ke))))
 
 
+def run_keep(q_segs, k_segs, heads, p, rng, dtype):
+    """The float keep mask of one attention_core run: a draw in its
+    [n·H × longest query × longest key] score block's shape, scaled by
+    1 / (1 − p); None without a generator."""
+    if rng is None:
+        return None
+    lq = max(qe - qs for qs, qe, _ in q_segs)
+    lk = max(ke - ks for ks, ke, _ in k_segs)
+    return (rng.random((len(q_segs) * heads, lq, lk)) >= p).astype(dtype) / (1.0 - p)
+
+
 def attention_reference(
     queries, keys, values, heads, factor, query_segs, key_segs, p, rng
 ):
     """attention_core's meaning, composed from primitive ops: a head split,
-    one small graph per segment with its own dropout draw, and a head merge."""
+    one small graph per segment and a head merge. Each of attention_core's
+    runs draws one keep mask in its score block's shape (run_keep), and a
+    segment drops its weights by its corner of that mask."""
     q = scale(split_heads(queries, heads), factor)
     k_t = transpose(split_heads(keys, heads), (0, 2, 1))
     v = split_heads(values, heads)
-    contexts = [
-        segment_attention(q, k_t, v, q_seg, k_seg, lambda w: dropout(w, p, rng))
-        for q_seg, k_seg in zip(query_segs, key_segs)
-    ]
+    contexts = []
+    for first, stop in _runs(query_segs, key_segs, heads):
+        q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
+        keep = run_keep(q_segs, k_segs, heads, p, rng, q.dtype)
+        for i, (q_seg, k_seg) in enumerate(zip(q_segs, k_segs)):
+            def drop(w, i=i):
+                if keep is None:
+                    return w
+                corner = keep[i * heads : (i + 1) * heads, : w.shape[1], : w.shape[2]]
+                return mul(w, Tensor.constant(corner))
+
+            contexts.append(segment_attention(q, k_t, v, q_seg, k_seg, drop))
     return merge_heads(concat(contexts, axis=1), queries.shape)
 
 
@@ -370,23 +391,16 @@ def padded_reference(
 ):
     """attention_core's arithmetic, composed from primitive ops.
 
-    The segments are cut into attention_core's runs. A run of one is the
-    per-segment graph; a longer run pads each segment's heads with zero rows
-    (getitem, concat), stacks them segment-major into [n·H × Lq × e], adds a
-    −inf constant on padded and invalid keys, takes softmax, multiplies by
-    the keep mask scattered into the padded layout, multiplies by the padded
-    values and unpads. Every keep mask comes from one draw of Σ H·q·k
-    doubles, as in attention_core.
+    The segments are cut into attention_core's runs, each with its keep
+    mask from run_keep. A run of one is the per-segment graph; a longer run
+    pads each segment's heads with zero rows (getitem, concat), stacks them
+    segment-major into [n·H × Lq × e], adds a −inf constant on padded and
+    invalid keys, takes softmax, multiplies by the keep mask, multiplies by
+    the padded values and unpads.
     """
     q = scale(split_heads(queries, heads), factor)
     k = split_heads(keys, heads)
     k_t, v = transpose(k, (0, 2, 1)), split_heads(values, heads)
-    sizes = [heads * (qe - qs) * (ke - ks)
-             for (qs, qe, _), (ks, ke, _) in zip(query_segs, key_segs)]
-    keep_all = None
-    if rng is not None:
-        keep_all = (rng.random(sum(sizes)) >= p).astype(q.dtype) / (1.0 - p)
-    offsets = np.cumsum([0] + sizes)
 
     def padded(x, segs, length):
         blocks = []
@@ -398,15 +412,17 @@ def padded_reference(
             blocks.append(block)
         return concat(blocks, axis=0)
 
+    def drop(w, keep):
+        return w if keep is None else mul(w, Tensor.constant(keep))
+
     contexts = []
     for first, stop in _runs(query_segs, key_segs, heads):
         q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
-        keep = None if keep_all is None else keep_all[offsets[first] : offsets[stop]]
+        keep = run_keep(q_segs, k_segs, heads, p, rng, q.dtype)
         if stop - first == 1:
-            def drop(w):
-                return w if keep is None else mul(w, Tensor.constant(keep.reshape(w.shape)))
-
-            contexts.append(segment_attention(q, k_t, v, q_segs[0], k_segs[0], drop))
+            contexts.append(segment_attention(
+                q, k_t, v, q_segs[0], k_segs[0], lambda w: drop(w, keep)
+            ))
             continue
         lq = max(qe - qs for qs, qe, _ in q_segs)
         lk = max(ke - ks for ks, ke, _ in k_segs)
@@ -414,14 +430,7 @@ def padded_reference(
         mask = np.zeros((len(k_segs) * heads, 1, lk), dtype=scores.dtype)
         for i, (_, _, valid) in enumerate(k_segs):
             mask[i * heads : (i + 1) * heads, :, valid:] = -np.inf
-        w = softmax(add(scores, Tensor.constant(mask)), axis=-1)
-        if keep is not None:
-            placed = np.zeros((len(q_segs), heads, lq, lk), dtype=w.dtype)
-            for i, ((qs, qe, _), (ks, ke, _)) in enumerate(zip(q_segs, k_segs)):
-                n = heads * (qe - qs) * (ke - ks)
-                placed[i, :, : qe - qs, : ke - ks] = keep[:n].reshape((heads, qe - qs, -1))
-                keep = keep[n:]
-            w = mul(w, Tensor.constant(placed.reshape(w.shape)))
+        w = drop(softmax(add(scores, Tensor.constant(mask)), axis=-1), keep)
         context = matmul(w, padded(v, k_segs, lk))
         for i, (qs, qe, _) in enumerate(q_segs):
             contexts.append(
@@ -441,6 +450,9 @@ class TestAttentionCore:
         # segments fall into runs [0, 2), [2, 3) and [3, 6); the last run
         # also holds a segment with an invalid key row.
         "split": ((2, 3, 60, 2, 1, 3), (3, 2, 70, 1, 2, 4), (3, 2, 70, 1, 2, 3)),
+        # Segments too big to share a block at two heads: three runs of one,
+        # as almost every run of an eval-shaped call is.
+        "alone": ((48, 50, 45), (50, 44, 47), (50, 40, 47)),
     }
     HEADS, WIDTH, P = 2, 3, 0.3
 
@@ -465,6 +477,7 @@ class TestAttentionCore:
             q_rows, k_rows, valid = self.CASES[case]
             return _runs(packed_segments(q_rows), packed_segments(k_rows, valid), 2)
 
+        assert runs("alone") == [(0, 1), (1, 2), (2, 3)]
         assert runs("ragged") == [(0, 4)]
         assert runs("padded_single") == [(0, 1)]
         assert runs("split") == [(0, 2), (2, 3), (3, 6)]
@@ -488,25 +501,50 @@ class TestAttentionCore:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_matches_per_segment_meaning_in_float64(self, case, training):
-        # The reference draws each segment's dropout mask on its own, so a
-        # match also shows that the kernel drops the same weights.
+        # The reference drops each segment's weights by its corner of its
+        # run's draw, so a match also shows that the kernel drops those.
         got = self.run(attention_core, case, np.float64, training)
         want = self.run(attention_reference, case, np.float64, training)
         for name, g, w in zip(("context", "dq", "dk", "dv"), got, want):
             assert g.dtype == np.float64, name
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_draws_one_block_of_doubles(self, case):
+    def draw(self, case, p=P):
+        """The generator that attention_core drew from on the case's
+        all-ones inputs, in training at rate p."""
         q_rows, k_rows, valid = self.CASES[case]
         q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
         d = self.HEADS * self.WIDTH
         q, k, v = (Tensor.constant(np.ones((sum(rows), d), dtype=np.float32))
                    for rows in (q_rows, k_rows, k_rows))
-        rng, expected = np.random.default_rng(5), np.random.default_rng(5)
-        attention_core(q, k, v, self.HEADS, 1.0, q_segs, k_segs, self.P, rng)
+        rng = np.random.default_rng(5)
+        attention_core(q, k, v, self.HEADS, 1.0, q_segs, k_segs, p, rng)
+        return rng
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_run_draws_its_score_block(self, case):
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        expected = np.random.default_rng(5)
+        for first, stop in _runs(q_segs, k_segs, self.HEADS):
+            lq, lk = max(q_rows[first:stop]), max(k_rows[first:stop])
+            expected.random(((stop - first) * self.HEADS, lq, lk))
+        assert self.draw(case).bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("case", ["alone", "padded_single"])
+    def test_runs_of_one_draw_as_one_call_wide_draw_did(self, case):
+        # One rng.random(Σ H·q·k) per call, the layout before each run drew
+        # its own block: runs of one consume the same doubles in the same
+        # order, so eval-shaped calls keep their masks.
+        q_rows, k_rows, _ = self.CASES[case]
+        expected = np.random.default_rng(5)
         expected.random(sum(self.HEADS * q * k for q, k in zip(q_rows, k_rows)))
-        assert rng.bit_generator.state == expected.bit_generator.state
+        assert self.draw(case).bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
+    def test_invalid_rate_raises(self, p):
+        with pytest.raises(ValueError, match="dropout rate"):
+            self.draw("ragged", p)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_weights_come_back_per_segment_in_order(self, case):

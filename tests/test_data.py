@@ -178,6 +178,17 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=f":3: .*not a string: {bad}"):
             load_manifest(path)
 
+    def test_repeated_sample_id_names_both_lines(self, tmp_path):
+        synthesize(1, 8, 0, tmp_path, "train")
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        sample_id = json.loads(lines[2])["sample_id"]
+        with pytest.raises(
+            ValueError, match=f"train.jsonl:{len(lines) + 1}: sample id '{sample_id}' repeats line 3"
+        ):
+            load_manifest(path)
+
     @pytest.mark.parametrize("header", ["5", "not json", '{"split": 1, "embedding_dir": "."}'])
     def test_header_must_be_an_object_of_strings(self, tmp_path, header):
         path = tmp_path / "bad.jsonl"

@@ -289,6 +289,23 @@ class TestScaler:
         with pytest.raises(ValueError, match=re.escape(f"{name!r} has shape {shape}")):
             FeatureScaler.from_entries(entries)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("scaler.mean", np.nan, "'scaler.mean' holds a non-finite value"),
+            ("scaler.std", np.inf, "'scaler.std' holds a non-finite value"),
+            ("scaler.std", 0.0, "'scaler.std' holds a std <= 0"),
+            ("scaler.std", -1.0, "'scaler.std' holds a std <= 0"),
+        ],
+        ids=["nan-mean", "inf-std", "zero-std", "negative-std"],
+    )
+    def test_from_entries_names_a_bad_value(self, tmp_path, name, value, message):
+        scaler = FeatureScaler.fit([np.arange(32.0), np.arange(32.0) * 2])
+        getattr(scaler, name.split(".")[1])[5] = value
+        scaler.save(tmp_path / "scaler.pcfc")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureScaler.load(tmp_path / "scaler.pcfc")
+
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             FeatureScaler.fit([])

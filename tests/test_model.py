@@ -316,6 +316,22 @@ class TestCheckpoint:
         for name, param in model.parameters().items():
             np.testing.assert_array_equal(param.data, old[name], err_msg=name)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected_before_any_is_assigned(self, tmp_path, value):
+        model = make_model()
+        params = model.parameters()
+        old = {n: t.data.copy() for n, t in params.items()}
+        entries = {n: t.data + 1 for n, t in params.items()}
+        entries["head.Wz2"][0, 0] = value
+        path = tmp_path / "m.pcfc"
+        write_checkpoint(path, entries, {"config": model.config.to_dict()})
+        with pytest.raises(ValueError, match="parameter 'head.Wz2' holds a non-finite value"):
+            VerificationModel.from_checkpoint(path)
+        with pytest.raises(ValueError, match="parameter 'head.Wz2' holds a non-finite value"):
+            model.load_state(entries)
+        for name, param in model.parameters().items():
+            np.testing.assert_array_equal(param.data, old[name], err_msg=name)
+
 
 def per_sample_reference(model, batch, feats):
     """forward_batch assembled from one single-sample fuse call per sample."""
