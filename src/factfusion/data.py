@@ -133,11 +133,14 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+    lines = [
+        (i, l) for i, l in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if l.strip()
+    ]
     if not lines:
         raise ValueError(f"{path}: empty manifest")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError:
         header = None
     if not isinstance(header, dict) or not all(
@@ -150,7 +153,7 @@ def load_manifest(path) -> DatasetManifest:
     if not emb_dir.is_absolute():
         emb_dir = path.parent / emb_dir
     records, first_line = [], {}
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         try:
             records.append(RawSample(**json.loads(line)))
         except (ValueError, TypeError) as err:

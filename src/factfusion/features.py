@@ -167,7 +167,7 @@ class FeatureScaler:
             arrays.append(arr)
         mean, std = arrays
         if (std <= 0).any():
-            raise ValueError(f"scaler entry {SCALER_ENTRIES[1]!r} holds a std <= 0")
+            raise ValueError("scaler entry 'scaler.std' holds a std <= 0")
         return cls(mean=mean, std=std)
 
     def entries(self) -> dict[str, np.ndarray]:

@@ -158,9 +158,9 @@ class VerificationModel:
 
         Every name, shape and value is checked before any parameter is
         assigned, so a rejected checkpoint (a NaN or inf in any parameter
-        included) leaves the model as it was. Any other entry (a
-        stale or misspelt parameter name, say) raises ValueError rather than
-        being ignored.
+        included) leaves the model as it was. Any other entry (a stale or
+        misspelt parameter name, say) raises ValueError rather than being
+        ignored.
         """
         params = self.parameters()
         for name in entries:

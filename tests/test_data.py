@@ -182,10 +182,11 @@ class TestManifestIO:
         synthesize(1, 8, 0, tmp_path, "train")
         path = tmp_path / "train.jsonl"
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        # Blank lines are skipped but still counted in the line numbers.
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:] + [lines[2]]) + "\n")
         sample_id = json.loads(lines[2])["sample_id"]
         with pytest.raises(
-            ValueError, match=f"train.jsonl:{len(lines) + 1}: sample id '{sample_id}' repeats line 3"
+            ValueError, match=f"train.jsonl:{len(lines) + 2}: sample id '{sample_id}' repeats line 4"
         ):
             load_manifest(path)
 
