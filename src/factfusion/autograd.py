@@ -398,14 +398,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def _normalized(op: str, x: np.ndarray, gain: Tensor, bias: Tensor, eps: float) -> tuple:
+    """Layer norm of array x over its last axis, affine by gain and bias, as
+    (output, backward). Backward maps the output's gradient to those of x,
+    gain and bias and keeps only xhat and 1/σ, not x."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
-            f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last axis {d}"
+            f"{op}: gain/bias {gain.shape}/{bias.shape} do not match last axis {d}"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -424,7 +426,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         gbias = g.sum(axis=lead)
         return gx, ggain, gbias
 
+    return out, backward
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    out, backward = _normalized("layer_norm", x.data, gain, bias, eps)
     return _make(out, (x, gain, bias), backward)
+
+
+def add_layer_norm(
+    x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6
+) -> Tensor:
+    """layer_norm(add(x, r), gain, bias) as one node, for a residual r of x's
+    shape.
+
+    The arithmetic is that of the two composed ops, bit for bit, and both x
+    and r receive the gradient that add would pass them. Backward keeps what
+    layer_norm's does, not the sum x + r, which the composed add holds.
+    """
+    if x.shape != r.shape:
+        raise ShapeError(f"add_layer_norm: residual {r.shape} does not match {x.shape}")
+    out, normalized = _normalized("add_layer_norm", x.data + r.data, gain, bias, eps)
+
+    def backward(g):
+        gx, ggain, gbias = normalized(g)
+        return gx, gx, ggain, gbias
+
+    return _make(out, (x, r, gain, bias), backward)
 
 
 def _keep_mask(
@@ -482,9 +511,10 @@ def feed_forward(
 
     The arithmetic and the two dropout draws, in order, are those of the
     composed matmul/add/relu/dropout ops; the ReLU mask goes to the
-    record_relu_signs taps as relu's does. Backward keeps only the ReLU
-    mask, the dropped hidden rows and the two keep masks, not the
-    pre-activation and output intermediates that the composed ops hold.
+    record_relu_signs taps as relu's does. Backward keeps only the dropped
+    hidden rows, one hidden mask (the ReLU mask, and in training the first
+    keep mask with it) and the output keep mask, not the pre-activation and
+    output intermediates that the composed ops hold.
     """
     if (x.ndim != 2 or b1.ndim != 1 or b2.ndim != 1
             or W1.shape != (x.shape[1], b1.shape[0])
@@ -499,9 +529,15 @@ def feed_forward(
     for tap in _relu_taps:
         tap.append(active)
     h *= active
+    # Backward multiplies the hidden gradient by 1 / (1 − p), if dropped, and
+    # by one mask: (g·s)·keep·active equals (g·s)·(keep & active) bit for
+    # bit, the sign of every zero included.
+    mask, s_h = active, None
     drawn_h = _keep_mask(h.shape, h.dtype, p, rng)
     if drawn_h is not None:
         _drop(h, drawn_h, out=h)
+        keep, s_h = drawn_h
+        mask = np.logical_and(keep, active, out=keep)
     out = h @ W2.data
     out += b2.data
     drawn_out = _keep_mask(out.shape, out.dtype, p, rng)
@@ -513,9 +549,9 @@ def feed_forward(
             g = _drop(g, drawn_out)
         gW2 = h.T @ g if W2.requires_grad else None
         gh = g @ W2.data.T
-        if drawn_h is not None:
-            _drop(gh, drawn_h, out=gh)
-        gh *= active
+        if s_h is not None:
+            gh *= s_h
+        gh *= mask
         gx = gh @ W1.data.T if x.requires_grad else None
         gW1 = x.data.T @ gh if W1.requires_grad else None
         return gx, gW1, _unbroadcast(gh, b1.shape), gW2, _unbroadcast(g, b2.shape)
@@ -583,12 +619,13 @@ def attention_core(
 
     queries [Σq × d], keys and values [Σk × d] hold the rows of several
     samples, each row its `heads` heads of width d/H side by side. The core
-    reads and writes that row layout itself: it scales the queries by
-    `scale`, and its output and gradients are [rows × d]. Segment i is a
-    (start, stop, valid) row range: query rows qs:qe attend to key rows
-    ks:ke through softmax(q·kᵀ), key rows past ks + valid getting exactly
-    zero weight, then inverted dropout (drawn from rng; none without one),
-    then ·v.
+    reads and writes that row layout itself, and its output and gradients
+    are [rows × d]. It scales each run's gathered queries by `scale`, in
+    forward and again in backward, so no scaled copy of all the queries is
+    kept. Segment i is a (start, stop, valid) row range: query rows qs:qe
+    attend to key rows ks:ke through softmax(q·kᵀ), key rows past
+    ks + valid getting exactly zero weight, then inverted dropout (drawn
+    from rng; none without one), then ·v.
 
     The segments are cut, in order, into runs (see _runs and PACK_BUDGET).
     Every run is one [n·H × Lq × Lk] score block, segment-major, that takes
@@ -633,7 +670,7 @@ def attention_core(
             x = x.reshape((rows.shape[0], heads) + x.shape[1:]).transpose(0, 2, 1, 3)[rows]
         into[span[0] : span[1]].reshape((-1, heads, e))[...] = x
 
-    q, k, v = queries.data * s, keys.data, values.data
+    q, k, v = queries.data, keys.data, values.data
     parents = (queries, keys, values)
     tracked = _tracked(parents)
     out = np.zeros(q.shape, dtype=np.result_type(q, k, v))
@@ -644,7 +681,7 @@ def attention_core(
         q_rows = k_rows = None
         if stop - first > 1:
             q_rows, k_rows = _row_mask(q_segs), _row_mask(k_segs)
-        bq = gather(q, q_span, q_rows)
+        bq = gather(q, q_span, q_rows) * s
         bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
         scores = bq @ bk.swapaxes(-1, -2)
         for i, (_, _, valid) in enumerate(k_segs):
@@ -666,9 +703,10 @@ def attention_core(
         # C order, as out is, so that scatter's row views write through.
         gq, gk, gv = (np.zeros(x.shape, x.dtype) for x in (q, k, v))
         for q_span, k_span, q_rows, k_rows, w, keep in saved:
-            # Gathered again rather than kept: a step holds every direction's
-            # padded blocks at once, and a gather costs less than its memory.
-            bq, bg = gather(q, q_span, q_rows), gather(g, q_span, q_rows)
+            # Gathered and scaled again rather than kept: a step holds every
+            # direction's blocks at once, and a gather costs less than its
+            # memory. The scaled products are forward's, bit for bit.
+            bq, bg = gather(q, q_span, q_rows) * s, gather(g, q_span, q_rows)
             bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
             dropped = w if keep is None else _drop(w, keep)
             scatter(gv, k_span, dropped.swapaxes(-1, -2) @ bg, k_rows)

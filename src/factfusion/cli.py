@@ -20,6 +20,7 @@ from .data import LABELS, load_manifest, synthesize
 from .ensemble import VARIANTS, EnsembleSpec, ProbMatrix, blend, predict, tune
 from .features import FIELD_ORDER, STAT_NAMES, FeatureScaler, extract_corpus
 from .metrics import report_text, weighted_f1
+from .tensor_io import write_lines
 from .training import evaluate, train
 
 
@@ -78,7 +79,7 @@ def _cmd_extract_features(args) -> int:
     lines = [header]
     for rec, row in zip(manifest.records, mat):
         lines.append(rec.sample_id + "," + ",".join(f"{v:.10g}" for v in row))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(args.out, lines)
     kind = "scaled" if scaler is not None else "raw"
     print(f"wrote {mat.shape[0]} x {mat.shape[1]} {kind} feature rows to {args.out}")
     return 0
@@ -120,7 +121,7 @@ def _cmd_blend(args) -> int:
             lines.append(
                 sid + "," + ",".join(f"{v:.10g}" for v in row) + f",{LABELS[p]}"
             )
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(args.out, lines)
         print(f"wrote blended scores to {args.out}")
     if args.manifest:
         labels = _aligned_labels(args.manifest, mats)

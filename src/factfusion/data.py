@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tensor_io import read_tensor, write_tensor
+from .tensor_io import read_tensor, write_lines, write_tensor
 
 LABELS = (
     "support_text",
@@ -128,7 +128,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     lines = [json.dumps({"split": manifest.split, "embedding_dir": manifest.embedding_dir})]
     for rec in manifest.records:
         lines.append(json.dumps(asdict(rec)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_manifest(path) -> DatasetManifest:

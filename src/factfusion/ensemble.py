@@ -27,6 +27,7 @@ import numpy as np
 
 from .data import LABELS
 from .metrics import weighted_f1_batch
+from .tensor_io import write_lines
 
 VARIANTS = ("average", "weighted", "power", "unified")
 WEIGHT_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -91,7 +92,7 @@ class ProbMatrix:
         lines = [f"{self.model_id},{self.n_samples}"]
         for sid, row in zip(self.sample_ids, self.probs):
             lines.append(sid + "," + ",".join(map(repr, row.tolist())))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
 
     @classmethod
     def load(cls, path) -> "ProbMatrix":
@@ -181,7 +182,7 @@ class EnsembleSpec:
             lines.append(f"n{i} = {p!r}")
         if achieved_f1 is not None:
             lines.append(f"achieved_f1 = {float(achieved_f1)!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
 
     @classmethod
     def load(cls, path) -> "EnsembleSpec":

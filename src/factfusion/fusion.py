@@ -15,9 +15,10 @@ a generator is passed: training hands its seeded rng down, inference none.
 A whole batch fuses in one pass: each stream arrives as its samples' rows
 packed into one [sum(rows) x d] tensor plus the per-sample row counts.
 Everything position-wise (projections, feed-forward, layer norms, pooling)
-runs once on the packed rows, and each direction's feed-forward sublayer is
-one autograd node (autograd.feed_forward). Only the attention core works per
-sample, on that sample's row ranges. That core is one autograd node per
+runs once on the packed rows; each direction's feed-forward sublayer is one
+autograd node (autograd.feed_forward), and so is each residual add with the
+layer norm after it (autograd.add_layer_norm). Only the attention core works
+per sample, on that sample's row ranges. That core is one autograd node per
 direction (autograd.attention_core), which takes the packed [rows x d] Q/K/V,
 scales the queries and returns packed [rows x d] rows, reading and writing
 each row's heads in place. It cuts the samples, in order, into runs whose
@@ -42,12 +43,11 @@ import numpy as np
 from .autograd import (
     ShapeError,
     Tensor,
-    add,
+    add_layer_norm,
     attention_core,
     concat,
     feed_forward,
     getitem,
-    layer_norm,
     matmul,
     reshape,
 )
@@ -127,11 +127,11 @@ class CoAttentionBlock:
     def _sublayers(
         self, residual: Tensor, context: Tensor, rng: Optional[np.random.Generator]
     ) -> Tensor:
-        z = layer_norm(add(residual, context), self.norm1_gain, self.norm1_bias)
+        z = add_layer_norm(residual, context, self.norm1_gain, self.norm1_bias)
         f = feed_forward(
             z, self.ffn_W1, self.ffn_b1, self.ffn_W2, self.ffn_b2, self.dropout_rate, rng
         )
-        return layer_norm(add(f, z), self.norm2_gain, self.norm2_bias)
+        return add_layer_norm(f, z, self.norm2_gain, self.norm2_bias)
 
     def co_attend(
         self,

@@ -11,8 +11,9 @@ the metadata length and JSON; they are still read, with metadata None.
 
 Readers reject short reads, payloads or metadata longer than the bytes left
 in the file, bytes after the last block, repeated entry names and metadata
-that is not a UTF-8 JSON object with FormatError. Checkpoints are written
-to a temp file that then replaces the target.
+that is not a UTF-8 JSON object with FormatError. Checkpoints, and the
+package's text artifacts (write_lines), are written to a temp file that
+then replaces the target.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -142,6 +143,12 @@ def atomic_writer(path: PathLike) -> Iterator[BinaryIO]:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_lines(path: PathLike, lines: Iterable[str]) -> None:
+    """Write lines as UTF-8 text, each ended by a newline, through atomic_writer."""
+    with atomic_writer(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_checkpoint(

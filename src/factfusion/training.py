@@ -80,6 +80,40 @@ def _predict_probs(
     return np.vstack(out)
 
 
+def _train_step(
+    model: VerificationModel,
+    optimizer: Adam,
+    batch: list,
+    feats: Optional[np.ndarray],
+    labels: np.ndarray,
+    loss_cfg: LossConfig,
+    rng: np.random.Generator,
+    where: str,
+) -> dict:
+    """One forward, backward and Adam step; returns the loss parts as floats.
+
+    The step's graph lives only in this frame, so it is freed when the step
+    returns: the next forward, validation and the checkpoint write never
+    hold it beside their own arrays.
+    """
+    probs, hidden = model.forward_batch(batch, feats, training=True, rng=rng)
+    parts = total_loss(probs, hidden, labels, loss_cfg)
+    values = {
+        "total": float(parts.total.data),
+        "ce": float(parts.cross_entropy.data),
+        "supcon": float(parts.contrastive.data),
+    }
+    if not np.isfinite(values["total"]):
+        raise RuntimeError(
+            f"non-finite loss at {where}: total={values['total']}, "
+            f"ce={values['ce']}, supcon={values['supcon']}"
+        )
+    optimizer.zero_grad()
+    parts.total.backward()
+    optimizer.step()
+    return values
+
+
 def train(
     config: RunConfig,
     train_manifest: Optional[ManifestLike] = None,
@@ -138,24 +172,10 @@ def train(
                 batch = [train_data[i] for i in chunk]
                 feats = train_feats[chunk] if train_feats is not None else None
                 cfg = loss_cfg if len(chunk) > 1 else ce_only
-                probs, hidden = model.forward_batch(
-                    batch, feats, training=True, rng=dropout_rng
+                values = _train_step(
+                    model, optimizer, batch, feats, train_labels[chunk], cfg,
+                    dropout_rng, f"epoch {epoch} step {step}",
                 )
-                parts = total_loss(probs, hidden, train_labels[chunk], cfg)
-                values = {
-                    "total": float(parts.total.data),
-                    "ce": float(parts.cross_entropy.data),
-                    "supcon": float(parts.contrastive.data),
-                }
-                if not np.isfinite(values["total"]):
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch} step {step}: "
-                        f"total={values['total']}, ce={values['ce']}, "
-                        f"supcon={values['supcon']}"
-                    )
-                optimizer.zero_grad()
-                parts.total.backward()
-                optimizer.step()
                 log.write(json.dumps({"epoch": epoch, "step": step, **values}) + "\n")
                 epoch_total += values["total"] * len(chunk)
                 step += 1

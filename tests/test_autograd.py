@@ -14,6 +14,7 @@ from factfusion.autograd import (
     ShapeError,
     Tensor,
     add,
+    add_layer_norm,
     attention_core,
     clamp,
     concat,
@@ -50,6 +51,19 @@ SOFTMAX_123 = (
 
 def param(rng, *shape):
     return Tensor.param(rng.standard_normal(shape), dtype=np.float64)
+
+
+def closure_arrays(node):
+    """Every array that node's backward closure holds, directly or inside
+    tuples and lists."""
+    found, stack = [], [c.cell_contents for c in node._backward.__closure__]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+    return found
 
 
 class TestForwardValues:
@@ -280,6 +294,55 @@ class TestFiniteDifferences:
             return tensor_sum(concat([rows, rows], axis=1))
 
         check_gradients(fn, {"a": a, "b": b})
+
+
+class TestAddLayerNorm:
+    ROWS, D = 7, 6
+
+    def run(self, op, dtype):
+        """Output and the gradients of x, r, gain and bias under op."""
+        rng = np.random.default_rng(21)
+        x, r = (Tensor.param(rng.standard_normal((self.ROWS, self.D)), dtype=dtype)
+                for _ in range(2))
+        gain = Tensor.param(rng.uniform(0.5, 1.5, self.D), dtype=dtype)
+        bias = Tensor.param(rng.standard_normal(self.D), dtype=dtype)
+        readout = Tensor.constant(rng.standard_normal((self.ROWS, self.D)), dtype=dtype)
+        out = op(x, r, gain, bias)
+        tensor_sum(out * readout).backward()
+        return [out.data] + [t.grad for t in (x, r, gain, bias)]
+
+    def test_matches_add_then_layer_norm_bitwise(self):
+        got = self.run(add_layer_norm, np.float32)
+        want = self.run(lambda x, r, g, b: layer_norm(add(x, r), g, b), np.float32)
+        for name, g, w in zip(("out", "dx", "dr", "dgain", "dbias"), got, want):
+            assert g.dtype == np.float32, name
+            assert np.array_equal(g, w), name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+
+    def test_gradient(self, rng):
+        x, r = param(rng, 5, 8), param(rng, 5, 8)
+        gain = Tensor.param(rng.uniform(0.5, 1.5, size=8), dtype=np.float64)
+        bias = param(rng, 8)
+        w = Tensor.constant(rng.standard_normal((5, 8)), dtype=np.float64)
+
+        def fn():
+            return tensor_sum(add_layer_norm(x, r, gain, bias) * w)
+
+        check_gradients(fn, {"x": x, "r": r, "gain": gain, "bias": bias})
+
+    def test_keeps_no_sum(self):
+        rng = np.random.default_rng(22)
+        x, r = (Tensor.param(rng.standard_normal((3, 4))) for _ in range(2))
+        out = add_layer_norm(x, r, Tensor.param(np.ones(4)), Tensor.param(np.zeros(4)))
+        total = x.data + r.data
+        assert not any(np.array_equal(a, total) for a in closure_arrays(out))
+
+    def test_mismatched_shapes_raise(self):
+        x, gain, bias = (Tensor.constant(np.zeros(s)) for s in ((3, 4), (4,), (4,)))
+        with pytest.raises(ShapeError, match="add_layer_norm: residual"):
+            add_layer_norm(x, Tensor.constant(np.zeros((1, 4))), gain, bias)
+        with pytest.raises(ShapeError, match="add_layer_norm: gain/bias"):
+            add_layer_norm(x, x, Tensor.constant(np.zeros(3)), bias)
 
 
 class TestDropout:
@@ -570,6 +633,21 @@ class TestAttentionCore:
             assert np.all(w.data[..., n_valid:] == 0.0)
             np.testing.assert_allclose(w.data, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["alone", "ragged"])
+    def test_backward_keeps_no_scaled_queries(self, case):
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        rng = np.random.default_rng(7)
+        d = self.HEADS * self.WIDTH
+        q, k, v = (Tensor.param(rng.standard_normal((sum(rows), d)), dtype=np.float32)
+                   for rows in (q_rows, k_rows, k_rows))
+        s = float(1.0 / np.sqrt(self.WIDTH))
+        out = attention_core(
+            q, k, v, self.HEADS, s, q_segs, k_segs, self.P, np.random.default_rng(9)
+        )
+        scaled = q.data * s
+        assert not any(np.array_equal(a, scaled) for a in closure_arrays(out))
+
     def test_mismatched_shapes_raise(self):
         cases = [
             (((4, 6), (5, 6), (4, 6)), 2),  # keys and values differ in rows
@@ -630,6 +708,20 @@ class TestFeedForward:
         assert len(got) == len(want) == 1
         assert got[0].dtype == bool
         np.testing.assert_array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_backward_keeps_one_hidden_mask(self, training):
+        rng = np.random.default_rng(14)
+        x = Tensor.param(rng.standard_normal((sum(self.ROWS), self.D)))
+        W1 = Tensor.param(rng.standard_normal((self.D, self.INNER)))
+        b1 = Tensor.param(rng.standard_normal(self.INNER))
+        W2 = Tensor.param(rng.standard_normal((self.INNER, self.OUT)))
+        b2 = Tensor.param(rng.standard_normal(self.OUT))
+        drop_rng = np.random.default_rng(15) if training else None
+        out = feed_forward(x, W1, b1, W2, b2, self.P, drop_rng)
+        hidden = (sum(self.ROWS), self.INNER)
+        masks = [a for a in closure_arrays(out) if a.dtype == bool and a.shape == hidden]
+        assert len(masks) == 1
 
     def test_mismatched_shapes_raise(self):
         x = Tensor.constant(np.zeros((3, 4)))

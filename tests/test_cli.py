@@ -1,6 +1,10 @@
 """Command-line interface: flows, config precedence, error contract."""
 
+import builtins
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -281,3 +285,91 @@ class TestModuleEntrypoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["d"] == 256
+
+
+class _HalfWriter:
+    """A file whose first write stores half its bytes and then fails, as a
+    full disk or a killed process would leave it."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+# Each writer below writes target once, and checks that the write failed.
+
+
+def _write_prob_matrix(tmp_path, capsys, target):
+    with pytest.raises(OSError, match="No space left"):
+        ProbMatrix("m", ["a", "b"], np.full((2, 5), 0.2)).save(target)
+
+
+def _write_spec(tmp_path, capsys, target):
+    with pytest.raises(OSError, match="No space left"):
+        EnsembleSpec.average(2).save(target, achieved_f1=0.5)
+
+
+def _write_manifest(tmp_path, capsys, target):
+    records = [RawSample(sample_id=f"s{i}", label="support_text") for i in range(3)]
+    with pytest.raises(OSError, match="No space left"):
+        write_manifest(DatasetManifest("val", ".", records), target)
+
+
+def _write_features(tmp_path, capsys, target):
+    run_cli(capsys, "synth", "--n-per-class", "1", "--backbone-dim", "8",
+            "--seed", "3", "--out-dir", str(tmp_path / "data"))
+    code, _, err = run_cli(
+        capsys, "extract-features", "--manifest", str(tmp_path / "data" / "train.jsonl"),
+        "--out", str(target),
+    )
+    assert code == 1 and "No space left" in err
+
+
+def _write_blend(tmp_path, capsys, target):
+    paths, man = _fixture_matrices(tmp_path / "inputs")
+    spec = tmp_path / "inputs" / "spec.cfg"
+    EnsembleSpec.average(2).save(spec)
+    code, _, err = run_cli(
+        capsys, "ensemble", "blend", *paths, "--spec", str(spec), "--out", str(target),
+    )
+    assert code == 1 and "No space left" in err
+
+
+class TestTextArtifactsAreAtomic:
+    @pytest.mark.parametrize("writer", [
+        _write_prob_matrix, _write_spec, _write_manifest, _write_features, _write_blend,
+    ], ids=["prob-matrix", "ensemble-spec", "manifest", "features-csv", "blend-csv"])
+    def test_failed_write_keeps_the_old_file(self, writer, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "artifact.txt"
+        old = b"old line 1\nold line 2\n"
+        target.write_bytes(old)
+        real_open = io.open
+
+        def opener(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and isinstance(file, (str, os.PathLike)) and (
+                os.path.basename(file).startswith(target.name)
+            ):
+                return _HalfWriter(f)
+            return f
+
+        # pathlib opens through io.open, the builtin open is the same function.
+        monkeypatch.setattr(io, "open", opener)
+        monkeypatch.setattr(builtins, "open", opener)
+        writer(tmp_path, capsys, target)
+        monkeypatch.undo()
+        assert target.read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))

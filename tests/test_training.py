@@ -2,12 +2,13 @@
 
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from factfusion import tensor_io
+from factfusion import tensor_io, training
 from factfusion.autograd import Tensor
 from factfusion.config import RunConfig
 from factfusion.data import ingest, synthesize
@@ -79,7 +80,39 @@ class TestTrain:
         for h in result.history:
             if h["val_f1"] > best:
                 best, saves = h["val_f1"], saves + 1
-        assert saves >= 1 and renames == ["checkpoint.pcfc"] * saves
+        # val_probs.csv, written once at the end, is replaced atomically too.
+        assert saves >= 1
+        assert renames == ["checkpoint.pcfc"] * saves + ["val_probs.csv"]
+
+    def test_each_step_graph_is_freed_before_the_next_forward(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        train_man, val_man = dataset
+        forward, predict = VerificationModel.forward_batch, training._predict_probs
+        graphs = []  # a weak reference into each training step's graph
+        alive_at = []  # (event, earlier step graphs still alive when it starts)
+
+        def alive():
+            return sum(ref() is not None for ref in graphs)
+
+        def watched_forward(self, *args, **kwargs):
+            if not kwargs.get("training"):
+                return forward(self, *args, **kwargs)
+            alive_at.append(("forward", alive()))
+            probs, hidden = forward(self, *args, **kwargs)
+            graphs.append(weakref.ref(probs._parents[0].data))
+            return probs, hidden
+
+        def watched_predict(*args):
+            alive_at.append(("validation", alive()))
+            return predict(*args)
+
+        monkeypatch.setattr(VerificationModel, "forward_batch", watched_forward)
+        monkeypatch.setattr(training, "_predict_probs", watched_predict)
+        train(RunConfig(**TINY), train_man, val_man, run_dir=tmp_path)
+        assert len(graphs) > TINY["epochs"]
+        assert {event for event, _ in alive_at} == {"forward", "validation"}
+        assert alive_at == [(event, 0) for event, _ in alive_at]
 
     def test_history_and_best(self, run):
         _, _, result = run
@@ -97,7 +130,7 @@ class TestTrain:
 
     def test_log_line_format(self, run):
         _, _, result = run
-        lines = open(result.log_path, encoding="utf-8").read().splitlines()
+        lines = Path(result.log_path).read_text(encoding="utf-8").splitlines()
         assert lines
         for raw in lines:
             entry = json.loads(raw)
