@@ -23,7 +23,7 @@ from .config import RunConfig
 from .data import LABEL_TO_INDEX, DatasetManifest, ingest, load_manifest
 from .ensemble import ProbMatrix
 from .features import FeatureScaler, extract_corpus
-from .metrics import confusion_matrix, weighted_f1, weighted_f1_of
+from .metrics import confusion_matrix, weighted_f1_of
 from .model import VerificationModel
 from .optim import Adam
 
@@ -80,6 +80,31 @@ def _predict_probs(
     return np.vstack(out)
 
 
+def _load_split(man: DatasetManifest, max_seq_len: int, scaler=None, fit=False) -> tuple:
+    """A manifest's stream dicts, its features scaled by scaler or by one fit
+    on them, and that scaler; an empty manifest gets no features."""
+    data = list(ingest(man, max_seq_len))
+    feats = None
+    if data and (fit or scaler is not None):
+        raw = extract_corpus(man.records)
+        if fit:
+            # Scale with the checkpoint's copy, so evaluate reproduces val_probs.
+            scaler = FeatureScaler.fit(raw).as_stored()
+        feats = scaler.transform(raw)
+    return data, feats, scaler
+
+
+def _score(model, man: DatasetManifest, data: list, feats, model_id: str) -> EvalResult:
+    """The model's probabilities on a split, with their F1 if all are labeled."""
+    probs = _predict_probs(model, data, feats, model.config.batch_size)
+    matrix = ProbMatrix(model_id=model_id, sample_ids=man.sample_ids(), probs=probs)
+    if any(rec.label is None for rec in man.records):
+        return EvalResult(prob_matrix=matrix)
+    conf = confusion_matrix(man.labels(), probs.argmax(axis=1), len(LABEL_TO_INDEX))
+    f1, per_class = weighted_f1_of(conf)
+    return EvalResult(prob_matrix=matrix, f1=float(f1), per_class=per_class, confusion=conf)
+
+
 def _train_step(
     model: VerificationModel,
     optimizer: Adam,
@@ -127,22 +152,15 @@ def train(
     run_path.mkdir(parents=True, exist_ok=True)
     model_id = model_id or f"seed{config.seed}"
 
-    train_data = list(ingest(train_man, config.max_seq_len))
-    val_data = list(ingest(val_man, config.max_seq_len))
+    train_data, train_feats, scaler = _load_split(
+        train_man, config.max_seq_len, fit=not config.text_only
+    )
+    val_data, val_feats, _ = _load_split(val_man, config.max_seq_len, scaler)
     if not train_data or not val_data:
         raise ValueError("training needs non-empty train and validation manifests")
     train_labels = train_man.labels()
-    val_labels = val_man.labels()
+    val_man.labels()  # an unlabeled val sample fails here, not at validation
     backbone_dim = train_data[0]["CI"].shape[1]
-
-    scaler = None
-    train_feats = val_feats = None
-    if not config.text_only:
-        train_raw = extract_corpus(train_man.records)
-        # Scale with the checkpoint's copy, so evaluate reproduces val_probs.
-        scaler = FeatureScaler.fit(train_raw).as_stored()
-        train_feats = scaler.transform(train_raw)
-        val_feats = extract_corpus(val_man.records, scaler)
 
     init_ss, drop_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = VerificationModel(config, backbone_dim, rng=np.random.default_rng(init_ss))
@@ -158,8 +176,7 @@ def train(
     ckpt_path = run_path / "checkpoint.pcfc"
     log_path = run_path / "train_log.jsonl"
     history = []
-    best_f1, best_epoch = -1.0, -1
-    best_probs = None
+    best, best_epoch = None, -1
     step = 0
 
     with open(log_path, "w", encoding="utf-8") as log:
@@ -180,30 +197,23 @@ def train(
                 epoch_total += values["total"] * len(chunk)
                 step += 1
 
-            val_probs = _predict_probs(model, val_data, val_feats, config.batch_size)
-            f1, _ = weighted_f1(val_labels, val_probs.argmax(axis=1), len(LABEL_TO_INDEX))
+            scores = _score(model, val_man, val_data, val_feats, model_id)
             history.append(
                 {
                     "epoch": epoch,
                     "train_loss": epoch_total / len(train_data),
-                    "val_f1": f1,
+                    "val_f1": scores.f1,
                 }
             )
-            if f1 > best_f1:
-                best_f1, best_epoch = f1, epoch
-                best_probs = val_probs
-                model.save(ckpt_path, scaler, _write_meta(best_epoch, best_f1))
+            if best is None or scores.f1 > best.f1:
+                best, best_epoch = scores, epoch
+                model.save(ckpt_path, scaler, _write_meta(best_epoch, best.f1))
 
-    matrix = ProbMatrix(
-        model_id=model_id,
-        sample_ids=val_man.sample_ids(),
-        probs=best_probs,
-    )
-    matrix.save(run_path / "val_probs.csv")
+    best.prob_matrix.save(run_path / "val_probs.csv")
     return TrainResult(
         checkpoint=str(ckpt_path),
-        prob_matrix=matrix,
-        best_f1=best_f1,
+        prob_matrix=best.prob_matrix,
+        best_f1=best.f1,
         best_epoch=best_epoch,
         history=history,
         log_path=str(log_path),
@@ -226,21 +236,7 @@ def evaluate(
     model, scaler, _ = VerificationModel.from_checkpoint(ckpt)
 
     man = _resolve(manifest)
-    data = list(ingest(man, model.config.max_seq_len))
+    data, feats, _ = _load_split(man, model.config.max_seq_len, scaler)
     if not data:
         raise ValueError("cannot evaluate an empty manifest")
-    feats = None
-    if scaler is not None:
-        feats = extract_corpus(man.records, scaler)
-
-    probs = _predict_probs(model, data, feats, model.config.batch_size)
-    matrix = ProbMatrix(
-        model_id=model_id or ckpt.stem,
-        sample_ids=man.sample_ids(),
-        probs=probs,
-    )
-    if any(rec.label is None for rec in man.records):
-        return EvalResult(prob_matrix=matrix)
-    conf = confusion_matrix(man.labels(), probs.argmax(axis=1), len(LABEL_TO_INDEX))
-    f1, per_class = weighted_f1_of(conf)
-    return EvalResult(prob_matrix=matrix, f1=float(f1), per_class=per_class, confusion=conf)
+    return _score(model, man, data, feats, model_id or ckpt.stem)
