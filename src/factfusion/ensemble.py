@@ -38,6 +38,23 @@ N_CLASSES = len(LABELS)
 BLOCK_ROWS = 256  # most candidates scored at once; bounds the [k x n x 5] scores
 
 
+def check_ids(model_id: str, sample_ids: Sequence[str], owner: Optional[str] = None) -> None:
+    """Raise ValueError unless the ids fit a probability file's lines: no line
+    break in the model id, no comma or line break in a sample id. owner, the
+    model id by default, starts the message that names a bad sample id."""
+    # "".join(s.splitlines()) != s when s holds a line break of any kind.
+    if "".join(model_id.splitlines()) != model_id:
+        raise ValueError(f"model id {model_id!r} holds a line break")
+    joined = "".join(sample_ids)  # one scan; the loop finds the row
+    if "," in joined or "".join(joined.splitlines()) != joined:
+        for row, sid in enumerate(sample_ids):
+            if "," in sid or "".join(sid.splitlines()) != sid:
+                raise ValueError(
+                    f"{owner or model_id}: row {row} sample id {sid!r} holds a "
+                    f"comma or a line break"
+                )
+
+
 @dataclass
 class ProbMatrix:
     """One model's per-sample class probabilities, the unit the blend consumes."""
@@ -58,17 +75,7 @@ class ProbMatrix:
                 f"{self.model_id}: {len(self.sample_ids)} sample ids for "
                 f"{self.probs.shape[0]} probability rows"
             )
-        # "".join(s.splitlines()) != s when s holds a line break of any kind.
-        if "".join(self.model_id.splitlines()) != self.model_id:
-            raise ValueError(f"model id {self.model_id!r} holds a line break")
-        joined = "".join(self.sample_ids)  # one scan; the loop finds the row
-        if "," in joined or "".join(joined.splitlines()) != joined:
-            for row, sid in enumerate(self.sample_ids):
-                if "," in sid or "".join(sid.splitlines()) != sid:
-                    raise ValueError(
-                        f"{self.model_id}: row {row} sample id {sid!r} holds a "
-                        f"comma or a line break"
-                    )
+        check_ids(self.model_id, self.sample_ids)
         inside = (self.probs >= 0.0) & (self.probs <= 1.0)  # False for NaN
         if not inside.all():
             row = np.flatnonzero(~inside.all(axis=1))[0]

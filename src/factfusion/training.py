@@ -21,7 +21,7 @@ from .autograd import no_grad
 from .classifier import LossConfig, total_loss
 from .config import RunConfig
 from .data import LABEL_TO_INDEX, DatasetManifest, ingest, load_manifest
-from .ensemble import ProbMatrix
+from .ensemble import ProbMatrix, check_ids
 from .features import FeatureScaler, extract_corpus
 from .metrics import confusion_matrix, weighted_f1_of
 from .model import VerificationModel
@@ -80,10 +80,24 @@ def _predict_probs(
     return np.vstack(out)
 
 
-def _load_split(man: DatasetManifest, max_seq_len: int, scaler=None, fit=False) -> tuple:
+def _load_split(
+    man: DatasetManifest, max_seq_len: int, scaler=None, fit=False, width=None
+) -> tuple:
     """A manifest's stream dicts, its features scaled by scaler or by one fit
-    on them, and that scaler; an empty manifest gets no features."""
+    on them, and that scaler; an empty manifest gets no features.
+
+    Every sample must have the backbone width given, or else its first
+    sample's; a ValueError names the split and the first that differs.
+    """
     data = list(ingest(man, max_seq_len))
+    for sid, sample in zip(man.sample_ids(), data):
+        got = sample["CI"].shape[1]
+        width = width or got
+        if got != width:
+            raise ValueError(
+                f"{man.split} split: sample {sid!r} has backbone width {got}, "
+                f"but the model takes {width}"
+            )
     feats = None
     if data and (fit or scaler is not None):
         raw = extract_corpus(man.records)
@@ -151,16 +165,17 @@ def train(
     run_path = Path(run_dir if run_dir is not None else config.out_dir)
     run_path.mkdir(parents=True, exist_ok=True)
     model_id = model_id or f"seed{config.seed}"
+    check_ids(model_id, val_man.sample_ids(), f"{val_man.split} split")
 
     train_data, train_feats, scaler = _load_split(
         train_man, config.max_seq_len, fit=not config.text_only
     )
-    val_data, val_feats, _ = _load_split(val_man, config.max_seq_len, scaler)
+    backbone_dim = train_data[0]["CI"].shape[1] if train_data else None
+    val_data, val_feats, _ = _load_split(val_man, config.max_seq_len, scaler, width=backbone_dim)
     if not train_data or not val_data:
         raise ValueError("training needs non-empty train and validation manifests")
     train_labels = train_man.labels()
     val_man.labels()  # an unlabeled val sample fails here, not at validation
-    backbone_dim = train_data[0]["CI"].shape[1]
 
     init_ss, drop_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = VerificationModel(config, backbone_dim, rng=np.random.default_rng(init_ss))
@@ -236,7 +251,9 @@ def evaluate(
     model, scaler, _ = VerificationModel.from_checkpoint(ckpt)
 
     man = _resolve(manifest)
-    data, feats, _ = _load_split(man, model.config.max_seq_len, scaler)
+    model_id = model_id or ckpt.stem
+    check_ids(model_id, man.sample_ids(), f"{man.split} split")
+    data, feats, _ = _load_split(man, model.config.max_seq_len, scaler, width=model.backbone_dim)
     if not data:
         raise ValueError("cannot evaluate an empty manifest")
-    return _score(model, man, data, feats, model_id or ckpt.stem)
+    return _score(model, man, data, feats, model_id)

@@ -19,6 +19,7 @@ from factfusion.ensemble import (
     _blend_scores,
     _grid,
     blend,
+    check_ids,
     predict,
     tune,
 )
@@ -92,6 +93,15 @@ class TestProbMatrix:
     def test_rejects_model_id_with_line_break(self):
         with pytest.raises(ValueError, match="line break"):
             mat(P1, model_id="seed\n42")
+
+    def test_id_rule_names_its_owner(self):
+        check_ids("seed42", ["s0", "s1"])
+        with pytest.raises(ValueError, match=r"^seed42: row 1 sample id 's,1'"):
+            check_ids("seed42", ["s0", "s,1"])
+        with pytest.raises(ValueError, match=r"^val split: row 1 sample id 's,1'"):
+            check_ids("seed42", ["s0", "s,1"], "val split")
+        with pytest.raises(ValueError, match=r"^model id 'seed\\n42' holds a line break$"):
+            check_ids("seed\n42", ["s0"], "val split")
 
     def test_save_load_round_trip(self, tmp_path):
         m = mat(P1, model_id="seed42")

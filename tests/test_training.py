@@ -1,7 +1,9 @@
 """Training loop, checkpoint round trips and evaluation."""
 
+import dataclasses
 import json
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -11,10 +13,10 @@ import pytest
 from factfusion import tensor_io, training
 from factfusion.autograd import Tensor
 from factfusion.config import RunConfig
-from factfusion.data import ingest, synthesize
+from factfusion.data import STREAM_REFS, ingest, synthesize
 from factfusion.features import extract_corpus
 from factfusion.model import VerificationModel
-from factfusion.tensor_io import read_checkpoint
+from factfusion.tensor_io import read_checkpoint, write_tensor
 from factfusion.training import evaluate, train
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,6 +49,37 @@ def run(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     cfg = RunConfig(**TINY)
     return cfg, out, train(cfg, train_man, val_man, run_dir=out, model_id="tiny")
+
+
+@pytest.fixture(scope="module")
+def text_only_run(dataset, tmp_path_factory):
+    train_man, val_man = dataset
+    out = tmp_path_factory.mktemp("text_only")
+    return train(RunConfig(**{**TINY, "text_only": True}), train_man, val_man, run_dir=out)
+
+
+@pytest.fixture(scope="module")
+def wide_val(tmp_path_factory):
+    """The val split of the dataset's seed, at backbone width 16, not 8."""
+    return synthesize(2, 16, 21, tmp_path_factory.mktemp("widedata"), "val")
+
+
+def _with_sample(man, index, tmp_path, width=None, sample_id=None):
+    """A copy of man whose sample at index has 6-row streams of the given
+    width, written under tmp_path, or the given sample id."""
+    rec = man.records[index]
+    changes = {}
+    if width is not None:
+        rng = np.random.default_rng(index)
+        for stream, ref in STREAM_REFS.items():
+            path = tmp_path / f"{rec.sample_id}.{stream}.pcft"
+            write_tensor(path, rng.standard_normal((6, width)).astype(np.float32))
+            changes[ref] = str(path)  # an absolute ref ignores embedding_dir
+    if sample_id is not None:
+        changes["sample_id"] = sample_id
+    records = list(man.records)
+    records[index] = dataclasses.replace(rec, **changes)
+    return dataclasses.replace(man, records=records)
 
 
 class TestTrain:
@@ -180,15 +213,82 @@ class TestTrain:
         assert 0.0 <= result.best_f1 <= 1.0
 
 
-class TestEvaluate:
-    def test_matches_training_probs(self, run, dataset):
+class TestSplitChecks:
+    """Inputs the run cannot finish on fail before the first step or forward."""
+
+    @staticmethod
+    def _fails_before_the_first_step(train_man, val_man, run_dir, message):
+        with pytest.raises(ValueError, match=message):
+            train(RunConfig(**TINY), train_man, val_man, run_dir=run_dir)
+        assert not (run_dir / "train_log.jsonl").exists()
+        assert not (run_dir / "checkpoint.pcfc").exists()
+
+    @staticmethod
+    def _fails_before_the_forward(checkpoint, man, monkeypatch, message, **kwargs):
+        def no_forward(*args):
+            raise AssertionError("evaluate ran a forward")
+
+        monkeypatch.setattr(training, "_predict_probs", no_forward)
+        with pytest.raises(ValueError, match=message):
+            evaluate(checkpoint, man, **kwargs)
+
+    def test_train_split_of_two_widths(self, dataset, tmp_path):
+        train_man, val_man = dataset
+        mixed = _with_sample(train_man, 3, tmp_path, width=16)
+        self._fails_before_the_first_step(
+            mixed, val_man, tmp_path / "run",
+            r"^train split: sample 'train00003' has backbone width 16, "
+            r"but the model takes 8$",
+        )
+
+    def test_val_split_of_another_width(self, dataset, wide_val, tmp_path):
+        train_man, _ = dataset
+        self._fails_before_the_first_step(
+            train_man, wide_val, tmp_path / "run",
+            r"^val split: sample 'val00000' has backbone width 16, but the model takes 8$",
+        )
+
+    def test_evaluate_manifest_of_another_width(self, run, wide_val, monkeypatch):
+        _, _, result = run
+        self._fails_before_the_forward(
+            result.checkpoint, wide_val, monkeypatch,
+            r"^val split: sample 'val00000' has backbone width 16, but the model takes 8$",
+        )
+
+    @pytest.mark.parametrize("sid", ["val,0", "val\n0"])
+    def test_val_sample_id_the_probability_file_cannot_hold(self, dataset, tmp_path, sid):
+        train_man, val_man = dataset
+        self._fails_before_the_first_step(
+            train_man, _with_sample(val_man, 2, tmp_path, sample_id=sid), tmp_path / "run",
+            rf"^val split: row 2 sample id {re.escape(repr(sid))} holds a comma or a line break$",
+        )
+
+    def test_evaluate_ids_the_probability_file_cannot_hold(
+        self, run, dataset, monkeypatch, tmp_path
+    ):
         _, _, result = run
         _, val_man = dataset
-        ev = evaluate(result.checkpoint, val_man)
+        self._fails_before_the_forward(
+            result.checkpoint, _with_sample(val_man, 0, tmp_path, sample_id="val,0"),
+            monkeypatch, r"^val split: row 0 sample id 'val,0' holds a comma or a line break$",
+        )
+        self._fails_before_the_forward(
+            result.checkpoint, val_man, monkeypatch,
+            r"^model id 'seed\\n3' holds a line break$", model_id="seed\n3",
+        )
+
+
+class TestEvaluate:
+    def test_matches_training_probs(self, run, text_only_run, dataset):
+        _, val_man = dataset
         # The saved checkpoint is the best epoch, so re-evaluating it must
-        # reproduce the stored validation matrix.
-        np.testing.assert_array_equal(ev.prob_matrix.probs, result.prob_matrix.probs)
-        assert ev.f1 == pytest.approx(result.best_f1, abs=1e-9)
+        # reproduce the stored validation matrix and F1, bit for bit: with a
+        # feature scaler and, text only, without one.
+        for result in (run[2], text_only_run):
+            ev = evaluate(result.checkpoint, val_man)
+            np.testing.assert_array_equal(ev.prob_matrix.probs, result.prob_matrix.probs)
+            assert ev.f1 == result.best_f1
+            assert result.history[result.best_epoch - 1]["val_f1"] == ev.f1
 
     def test_matches_forward_batch_and_builds_no_graph(self, run, dataset, monkeypatch):
         cfg, _, result = run
