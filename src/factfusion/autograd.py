@@ -370,8 +370,14 @@ def relu(x: Tensor) -> Tensor:
 def _softmax_forward(
     x: np.ndarray, axis: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Softmax of x along axis, written into out (x itself may be out)."""
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    """Softmax of x along axis, written into out (x itself may be out).
+
+    The row max is fmax.reduce, which is faster than np.max on score blocks
+    and gives the same softmax bits: its max differs only in the sign of a
+    zero, and exp(±0) = 1, or on a row holding a NaN, which comes out all
+    NaN either way.
+    """
+    e = np.subtract(x, np.fmax.reduce(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e

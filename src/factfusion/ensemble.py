@@ -5,7 +5,10 @@ The blend of M probability matrices is
     S = w_1 * P_1^{N_1} + ... + w_M * P_M^{N_M}
 
 with elementwise powers and no renormalization: the scores only ever feed an
-argmax, which is invariant to positive scaling. Four nested variants:
+argmax, which is invariant to positive scaling. Probabilities are clipped to
+[PROB_FLOOR, 1] first. P^1 is P itself and any other P^N is exp(N · ln P),
+with ln P taken once per blend() or tune(), so the average and weighted
+variants are plain weighted sums. Four nested variants:
 
     average   equal weights, all powers 1
     weighted  free weights,  all powers 1
@@ -231,44 +234,54 @@ class EnsembleSpec:
         return spec
 
 
-def _blend_scores(clamped, weights, powers) -> np.ndarray:
+def _class_major(mats: Sequence[ProbMatrix]) -> tuple:
+    """The members' clamped probabilities class-major, [m x 5·samples], and
+    their natural logs: what _blend_scores takes, computed once per blend()
+    or tune()."""
+    probs = np.stack([np.clip(mat.probs.T, PROB_FLOOR, 1.0) for mat in mats])
+    probs = probs.reshape(len(mats), -1)
+    return probs, np.log(probs)
+
+
+def _blend_scores(probs, logs, weights, powers) -> np.ndarray:
     """Blend scores [k x samples x 5] for [k x m] weights and [k x m] powers or
     one shared [1 x m] power row; row i is exactly blend() of its spec.
 
-    The scores live class-major, [k x 5 x samples] in memory, and come back
-    as the transposed view, so each class is a block of contiguous rows for
-    _argmax_classes. Member 0's term is written straight into the scores: all
-    terms are positive, so starting from it equals starting from zero.
+    probs and logs are _class_major's. The scores live class-major, [k x 5 x
+    samples] in memory, and come back as the transposed view, so each class
+    is a block of contiguous rows for _argmax_classes. Member 0's term is
+    written straight into the scores: all terms are positive, so starting
+    from it equals starting from zero.
 
-    blend() powers with a scalar exponent, for which numpy takes sqrt and
-    square at 0.5 and 2, where its general pow rounds differently. A power
-    column that is constant over the block gets that same scalar call, once
-    per member: the grid, weighted and blend() itself. Otherwise one call
-    takes the [k x 1] exponent column; whether numpy takes the shortcut for
-    a broadcast exponent depends on the shapes, so rows at 0.5 or 2 are
-    redone with the scalar call.
+    P^1 is P itself and P^N is exp(N · ln P), from the logs taken once. A
+    power column that is constant over the block takes one exp over the
+    member's vector, as blend()'s single row does; any other column takes
+    one multiply and one exp into the block, then its rows at N = 1 are
+    copied from P. Every exp runs on C-contiguous float64, so numpy takes
+    the same loop for a row of blend() as for a row of a block.
     """
     # One buffer per call: more block-sized arrays make glibc's malloc return
     # the heap to the OS after every block, and those page faults cost more
-    # than the blend. einsum forms the outer product weights x powered probs
-    # about twice as fast as a broadcast multiply, with the same products.
-    k, (m, n, c) = weights.shape[0], clamped.shape
-    classes = np.ascontiguousarray(clamped.transpose(0, 2, 1)).reshape(m, c * n)
-    buffer = np.empty((2 * k, c * n))
+    # than the blend. einsum forms the outer products weights x powered probs
+    # and powers x logs about twice as fast as a broadcast multiply, with the
+    # same products.
+    k, (m, width) = weights.shape[0], probs.shape
+    buffer = np.empty((2 * k, width))
     scores, term = buffer[:k], buffer[k:]
-    for j, probs in enumerate(classes):
+    for j in range(m):
         out = term if j else scores
         column = powers[:, j]
         if (column == column[0]).all():
-            np.einsum("i,j->ij", weights[:, j], np.power(probs, column[0]), out=out)
+            powered = probs[j] if column[0] == 1.0 else np.exp(column[0] * logs[j])
+            np.einsum("i,j->ij", weights[:, j], powered, out=out)
         else:
-            np.power(probs, column[:, None], out=out)
-            for i in np.flatnonzero((column == 0.5) | (column == 2.0)):
-                np.power(probs, column[i], out=out[i])
+            np.einsum("i,j->ij", column, logs[j], out=out)
+            np.exp(out, out=out)
+            out[column == 1.0] = probs[j]
             out *= weights[:, j, None]
         if j:
             scores += term
-    return scores.reshape(k, c, n).transpose(0, 2, 1)
+    return scores.reshape(k, N_CLASSES, -1).transpose(0, 2, 1)
 
 
 def _argmax_classes(scores: np.ndarray) -> np.ndarray:
@@ -299,8 +312,8 @@ def blend(mats: Sequence[ProbMatrix], spec: EnsembleSpec) -> np.ndarray:
         raise ValueError(
             f"spec covers {spec.n_models} models but {len(mats)} matrices given"
         )
-    clamped = np.stack([np.clip(mat.probs, PROB_FLOOR, 1.0) for mat in mats])
-    scores = _blend_scores(clamped, np.array([spec.weights]), np.array([spec.powers]))
+    weights, powers = np.array([spec.weights]), np.array([spec.powers])
+    scores = _blend_scores(*_class_major(mats), weights, powers)
     return np.ascontiguousarray(scores[0])
 
 
@@ -315,10 +328,11 @@ class TuneResult:
     evaluations: int
 
 
-def _improve(best: Optional[tuple], clamped, weights, powers, labels) -> tuple:
-    """Score a block of at most BLOCK_ROWS blends; return the better of it and
-    best as (f1, (weights, powers)), ties going to the smallest such key."""
-    scores = _blend_scores(clamped, weights, powers)
+def _improve(best: Optional[tuple], members, weights, powers, labels) -> tuple:
+    """Score a block of at most BLOCK_ROWS blends of members, _class_major's
+    pair; return the better of it and best as (f1, (weights, powers)), ties
+    going to the smallest such key."""
+    scores = _blend_scores(*members, weights, powers)
     f1s = weighted_f1_batch(labels, _argmax_classes(scores), N_CLASSES)
     powers = np.broadcast_to(powers, weights.shape)
     top = f1s.max()
@@ -378,12 +392,12 @@ def tune(
             f"{mats[0].n_samples} samples"
         )
     m = len(mats)
-    clamped = np.stack([np.clip(mat.probs, PROB_FLOOR, 1.0) for mat in mats])
+    members = _class_major(mats)
     tied_ones = np.ones((1, m))
 
     if variant == "average":
         spec = EnsembleSpec.average(m)
-        f1, _ = _improve(None, clamped, np.full((1, m), 1.0 / m), tied_ones, labels)
+        f1, _ = _improve(None, members, np.full((1, m), 1.0 / m), tied_ones, labels)
         return TuneResult(spec=spec, f1=f1, evaluations=1)
 
     # Each power row is tried with the whole weight grid, so the budget
@@ -406,7 +420,7 @@ def tune(
         if evaluations >= budget:
             break
         weights = weights[: budget - evaluations]
-        best = _improve(best, clamped, weights, powers, labels)
+        best = _improve(best, members, weights, powers, labels)
         evaluations += weights.shape[0]
 
     # Corner candidates isolating each model at the clip extremes; with the
@@ -415,7 +429,7 @@ def tune(
     # razor-thin argmax margins.
     corner_w = np.where(np.eye(m), 10.0, 0.01)
     corner_p = np.where(np.eye(m), 1.0, 8.0) if variant == "unified" else tied_ones
-    best = _improve(best, clamped, corner_w, corner_p, labels)
+    best = _improve(best, members, corner_w, corner_p, labels)
     evaluations += m
 
     rng = np.random.default_rng(seed)
@@ -428,7 +442,7 @@ def tune(
             free = 1 if variant == "power" else m  # power draws one per row
             jitter = np.exp(rng.normal(0.0, 0.2, size=(k, free)))
             p_prop = np.clip(base_p[:free] * jitter, 0.01, 8.0).repeat(m // free, axis=1)
-        best = _improve(best, clamped, w_prop, p_prop, labels)
+        best = _improve(best, members, w_prop, p_prop, labels)
         evaluations += k
 
     f1, (weights, powers) = best

@@ -122,6 +122,32 @@ class TestForwardValues:
         assert np.array_equal(_softmax_backward(want, g, -1), want_g)
         assert np.array_equal(_softmax_backward(want, g, -1, out=g), want_g)
 
+    def test_softmax_row_max_edge_cases_match_np_max(self, rng):
+        def reference(x):
+            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            return e / np.sum(e, axis=-1, keepdims=True)
+
+        # Random scores with -inf key masks, at desk and wide block shapes.
+        for shape in ((84, 9, 10), (8, 128, 128)):
+            x = (rng.standard_normal(shape) * 20).astype(np.float32)
+            x[..., shape[-1] // 2 :][rng.random(shape[:-1]) < 0.5] = -np.inf
+            assert np.array_equal(softmax(Tensor.constant(x), axis=-1).data, reference(x))
+        # Rows whose max is +0 or -0, in either order.
+        x = np.array(
+            [[-0.0, -1.0, -2.0], [0.0, -0.0, -3.0], [-0.0, 0.0, -0.5], [-0.0, -0.0, -np.inf]],
+            dtype=np.float32,
+        )
+        out = softmax(Tensor.constant(x), axis=-1).data
+        assert np.array_equal(out, reference(x))
+        assert out.view(np.uint32).tolist() == reference(x).view(np.uint32).tolist()
+        # A row holding a NaN stays all NaN; the other rows are untouched.
+        x = rng.standard_normal((4, 6)).astype(np.float32)
+        x[1, 2], x[3, 0] = np.nan, np.nan
+        x[3, 1:] = np.nan
+        out = softmax(Tensor.constant(x), axis=-1).data
+        assert np.isnan(out[[1, 3]]).all()
+        assert np.array_equal(out[[0, 2]], reference(x[[0, 2]]))
+
     def test_relu_zero_and_negative(self):
         out = relu(Tensor.constant([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from factfusion.ensemble import (
     ProbMatrix,
     _argmax_classes,
     _blend_scores,
+    _class_major,
     _grid,
     blend,
     check_ids,
@@ -545,8 +547,8 @@ class TestTuneBlendContract:
         assert reloaded == result.spec
         assert result.f1 == blend_f1(mats, labels, reloaded)
 
-        # Grid values include 0.5, 1 and 2, which numpy may power by a
-        # special case; every row must still match blend() bit for bit.
+        # Grid values include 1, which the blend takes as P itself rather
+        # than through exp; every row must still match blend() bit for bit.
         k = data.draw(st.integers(1, 5), label="rows")
         weight = st.one_of(st.sampled_from(WEIGHT_GRID), st.floats(0.01, 10.0))
         power = st.one_of(st.sampled_from(POWER_GRID), st.floats(0.01, 8.0))
@@ -556,30 +558,81 @@ class TestTuneBlendContract:
             return np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
 
         weights, powers = block(weight), block(power)
-        clamped = np.stack([np.clip(x.probs, PROB_FLOOR, 1.0) for x in mats])
+        members = _class_major(mats)
         for block_powers in (powers, powers[:1]):
-            scores = _blend_scores(clamped, weights, block_powers)
+            scores = _blend_scores(*members, weights, block_powers)
             for i in range(k):
                 row_powers = block_powers[min(i, len(block_powers) - 1)]
                 spec = EnsembleSpec("unified", weights[i], row_powers)
                 assert np.array_equal(scores[i], blend(mats, spec))
 
-    def test_large_block_rows_are_blends(self):
-        # 256 rows over 100 samples, each member's power column mixing the
-        # grid (0.5 and 2 among it), 1, 8 and free values, so no column is
-        # constant and the column call must still match blend()'s scalar one.
+    @pytest.mark.parametrize("k", [1, 7, 256])
+    def test_block_rows_are_blends(self, k):
+        # Each member's power column mixes the grid, 1, 8 and free values;
+        # past one row it holds 1 and other values, so it is not constant
+        # and its rows at 1 are copied into the block.
         rng = np.random.default_rng(11)
-        k, n, m = 256, 100, 3
+        n, m = 100, 3
         mats = [mat(rng.dirichlet(np.ones(5), size=n), f"m{j}") for j in range(m)]
         named = rng.choice(np.array(POWER_GRID + (1.0, 8.0)), size=(k, m))
         powers = np.where(rng.random((k, m)) < 0.5, named, rng.uniform(0.01, 8.0, (k, m)))
+        if k > 1:
+            powers[0] = 1.0
         weights = rng.uniform(0.01, 10.0, (k, m))
-        assert ((powers == 0.5).any(axis=0) & (powers == 2.0).any(axis=0)).all()
-        clamped = np.stack([np.clip(x.probs, PROB_FLOOR, 1.0) for x in mats])
-        scores = _blend_scores(clamped, weights, powers)
+        scores = _blend_scores(*_class_major(mats), weights, powers)
         for i in range(k):
             spec = EnsembleSpec("unified", weights[i], powers[i])
             assert np.array_equal(scores[i], blend(mats, spec)), i
+
+
+class TestPowerRule:
+    """P^1 is P and P^N is exp(N · ln P), in blend() and in a block alike."""
+
+    @staticmethod
+    def probs(n=40):
+        raw = np.random.default_rng(14).dirichlet(np.ones(5) * 0.3, size=n)
+        raw[0] = [1.0, 0.0, 0.0, 0.0, 0.0]  # clamped to PROB_FLOOR
+        return raw
+
+    def test_power_one_is_p_exactly(self):
+        raw = self.probs()
+        clamped = np.clip(raw, PROB_FLOOR, 1.0)
+        assert np.array_equal(blend([mat(raw)], EnsembleSpec("unified", (1.0,), (1.0,))), clamped)
+        # A block whose column is not constant copies its rows at N = 1.
+        weights = np.array([[0.3], [0.7], [2.0]])
+        powers = np.array([[1.0], [0.5], [1.0]])
+        scores = _blend_scores(*_class_major([mat(raw)]), weights, powers)
+        assert np.array_equal(scores[0], 0.3 * clamped)
+        assert np.array_equal(scores[2], 2.0 * clamped)
+
+    def test_other_powers_are_the_closed_form(self):
+        raw = self.probs()
+        logs = np.log(np.clip(raw, PROB_FLOOR, 1.0))
+        free = np.random.default_rng(15).uniform(0.01, 8.0, 8)
+        for power in (0.125, 0.5, 2.0, 8.0, *free):
+            want = 0.7 * np.exp(power * logs)
+            spec = EnsembleSpec("unified", (0.7,), (power,))
+            assert np.array_equal(blend([mat(raw)], spec), want), power
+            # A constant column and one with another power on its second row.
+            for powers in (np.array([[power]]), np.array([[power], [1.0]])):
+                scores = _blend_scores(*_class_major([mat(raw)]), np.full((2, 1), 0.7), powers)
+                assert np.array_equal(scores[0], want), power
+
+    @pytest.mark.parametrize("power", [1e-6, 1e6])
+    def test_extreme_powers_at_the_floor_warn_nothing(self, power):
+        raw = np.full((3, 5), 0.0)
+        raw[:, 2] = 1.0
+        mats = [mat(raw, "a"), mat(raw[:, ::-1].copy(), "b")]
+        weights = np.array([[0.5, 2.0], [1.5, 0.25]])
+        powers = np.array([[power, power], [power, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            spec = EnsembleSpec("unified", (0.5, 2.0), (power, power))
+            scores = [blend(mats, spec), _blend_scores(*_class_major(mats), weights, powers)]
+        for block in scores:
+            assert np.isfinite(block).all() and (block >= 0.0).all()
+        # Both members put probability 1 on class 2, and 1^N is 1 for any N.
+        np.testing.assert_array_equal(scores[0][:, 2], 2.5)
 
 
 class TestArgmaxClasses:
