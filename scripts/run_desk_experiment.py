@@ -7,6 +7,9 @@ data, then tunes every ensemble variant on the validation probabilities and
 prints a summary table. Artifacts (checkpoints, probability matrices, tuned
 specs) land under --out-dir.
 
+Every tuned spec is blended again, and the script exits 1 if blend() of
+the spec does not reproduce the F1 the tuner reported for it.
+
 A run that trains exactly GATE_SEEDS at the default data and training sizes
 is the desk gate: it prints one gate line and exits 1 if the mean best val
 F1 falls below MEAN_FLOOR or any seed's below SEED_FLOOR. The tuner budget
@@ -28,8 +31,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from factfusion.config import RunConfig
-from factfusion.data import synthesize
-from factfusion.ensemble import VARIANTS, tune
+from factfusion.data import LABELS, synthesize
+from factfusion.ensemble import VARIANTS, blend, predict, tune
+from factfusion.metrics import weighted_f1
 from factfusion.training import train
 
 DESK = dict(
@@ -113,23 +117,29 @@ def main() -> int:
 
     print(f"{'ensemble variant':<18}  val F1  evaluations")
     print(f"{'-' * 18}  ------  -----------")
+    unreproduced = []
     for variant in VARIANTS:
         result = tune(mats, labels, variant, budget=args.budget, seed=0)
         result.spec.save(out / f"spec_{variant}.cfg", achieved_f1=result.f1)
         print(f"{variant:<18}  {result.f1:.4f}  {result.evaluations:>11}")
+        blended, _ = weighted_f1(labels, predict(blend(mats, result.spec)), len(LABELS))
+        if blended != result.f1:
+            unreproduced.append(f"{variant} (tuned {result.f1!r}, blend {blended!r})")
     print(f"{'best single seed':<18}  {max(singles):.4f}")
+    if unreproduced:
+        print(f"blend does not reproduce the tuned F1: {', '.join(unreproduced)}")
 
     print(f"\ntotal {time.perf_counter() - started:.0f}s; artifacts in {out}")
     if tuple(args.seeds) != GATE_SEEDS or any(
         getattr(args, name) != parser.get_default(name) for name in GATE_SIZES
     ):
-        return 0
+        return 1 if unreproduced else 0
     mean, worst = statistics.fmean(singles), min(singles)
     passed = mean >= MEAN_FLOOR and worst >= SEED_FLOOR
     print(f"desk gate {'PASS' if passed else 'FAIL'}: mean best F1 {mean:.4f} "
           f"(floor {MEAN_FLOOR}), min {worst:.4f} at seed {args.seeds[singles.index(worst)]} "
           f"(floor {SEED_FLOOR})")
-    return 0 if passed else 1
+    return 0 if passed and not unreproduced else 1
 
 
 if __name__ == "__main__":

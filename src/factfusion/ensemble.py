@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import LABELS
-from .metrics import weighted_f1_batch
+from .metrics import check_labels, weighted_f1_batch
 from .tensor_io import write_lines
 
 VARIANTS = ("average", "weighted", "power", "unified")
@@ -243,37 +243,57 @@ def _class_major(mats: Sequence[ProbMatrix]) -> tuple:
     return probs, np.log(probs)
 
 
+def _powered(probs, logs, j: int, power: float) -> np.ndarray:
+    """Member j's [5·samples] vector raised to one power: P itself at 1,
+    else one exp over the member's vector."""
+    return probs[j] if power == 1.0 else np.exp(power * logs[j])
+
+
 def _blend_scores(probs, logs, weights, powers) -> np.ndarray:
     """Blend scores [k x samples x 5] for [k x m] weights and [k x m] powers or
     one shared [1 x m] power row; row i is exactly blend() of its spec.
 
     probs and logs are _class_major's. The scores live class-major, [k x 5 x
     samples] in memory, and come back as the transposed view, so each class
-    is a block of contiguous rows for _argmax_classes. Member 0's term is
-    written straight into the scores: all terms are positive, so starting
-    from it equals starting from zero.
+    is a block of contiguous rows for _argmax_classes.
 
-    P^1 is P itself and P^N is exp(N · ln P), from the logs taken once. A
-    power column that is constant over the block takes one exp over the
-    member's vector, as blend()'s single row does; any other column takes
-    one multiply and one exp into the block, then its rows at N = 1 are
-    copied from P. Every exp runs on C-contiguous float64, so numpy takes
-    the same loop for a row of blend() as for a row of a block.
+    P^1 is P itself and P^N is exp(N · ln P), from the logs taken once. When
+    every power column is constant over the block, as in blend()'s single
+    row, every grid block and every weighted block, the members are powered
+    once into an [m x 5·samples] stack and the scores are one contraction
+    weights x powered. np.einsum without optimize runs numpy's own
+    sum-of-products loop: each term is the single product w·q, summed from
+    zero in member order, so a row of a block equals blend()'s row bit for
+    bit. A BLAS product (@, matmul, dot, optimize=True) sums in an order of
+    its own that depends on the block's shape, and a 1-row product then
+    differs from a block's.
+
+    Otherwise each member's term is formed in turn. Member 0's is written
+    straight into the scores: all terms are positive, so starting from it
+    equals starting from zero, as the contraction does. A constant column
+    takes one exp over the member's vector; any other column takes one
+    multiply and one exp into the block, then its rows at N = 1 are copied
+    from P. Every exp runs on C-contiguous float64, so numpy takes the same
+    loop for a row of blend() as for a row of a block.
     """
-    # One buffer per call: more block-sized arrays make glibc's malloc return
-    # the heap to the OS after every block, and those page faults cost more
-    # than the blend. einsum forms the outer products weights x powered probs
-    # and powers x logs about twice as fast as a broadcast multiply, with the
-    # same products.
+    # One buffer per call, with its first k rows the scores even where the
+    # contraction needs no term rows: more block-sized arrays make glibc's
+    # malloc return the heap to the OS after every block, and those page
+    # faults cost more than the blend. einsum forms the outer products
+    # weights x powered probs and powers x logs about twice as fast as a
+    # broadcast multiply, with the same products.
     k, (m, width) = weights.shape[0], probs.shape
     buffer = np.empty((2 * k, width))
     scores, term = buffer[:k], buffer[k:]
+    if (powers == powers[0]).all():
+        powered = np.stack([_powered(probs, logs, j, n) for j, n in enumerate(powers[0])])
+        np.einsum("ij,jk->ik", weights, powered, out=scores)
+        return scores.reshape(k, N_CLASSES, -1).transpose(0, 2, 1)
     for j in range(m):
         out = term if j else scores
         column = powers[:, j]
         if (column == column[0]).all():
-            powered = probs[j] if column[0] == 1.0 else np.exp(column[0] * logs[j])
-            np.einsum("i,j->ij", weights[:, j], powered, out=out)
+            np.einsum("i,j->ij", weights[:, j], _powered(probs, logs, j, column[0]), out=out)
         else:
             np.einsum("i,j->ij", column, logs[j], out=out)
             np.exp(out, out=out)
@@ -391,6 +411,7 @@ def tune(
             f"{labels.shape[0] if labels.ndim else 0} labels for "
             f"{mats[0].n_samples} samples"
         )
+    check_labels("labels", labels)
     m = len(mats)
     members = _class_major(mats)
     tied_ones = np.ones((1, m))

@@ -1,0 +1,80 @@
+"""Smoke run of scripts/bench_pairs.py on a two-commit fixture repository."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(repo, *args):
+    return subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+         *args], check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_pairs_writes_every_section(tmp_path):
+    # The two commits differ in a note only, so both sides compute alike.
+    repo = tmp_path / "repo"
+    ignore = shutil.ignore_patterns("__pycache__", ".factbench_*")
+    for part in ("src", "factbench"):
+        shutil.copytree(ROOT / part, repo / part, ignore=ignore)
+    (repo / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "digest_run.py", repo / "scripts")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    git(tmp_path, "init", "-q", str(repo))
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "first")
+    (repo / "NOTE.md").write_text("second commit\n", encoding="utf-8")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-qm", "second")
+    parent, change = git(repo, "rev-parse", "HEAD~1"), git(repo, "rev-parse", "HEAD")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "HEAD~1", "HEAD",
+         "--repo", str(repo), "--seeds", "1", "--seconds", "1", "--scale", "tiny",
+         "--out-dir", str(out)],
+        check=True, capture_output=True, text=True, timeout=600,
+    )
+    assert [p.name for p in out.iterdir()] == [f"BENCH_{change}.json"]
+    bench = json.loads((out / f"BENCH_{change}.json").read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+
+    assert (bench["parent"], bench["change"]) == (parent, change)
+    assert bench["seeds"] == [1] and bench["scale"] == "tiny"
+    assert {"nproc", "python", "numpy", "blas"} <= bench["machine"].keys()
+    assert set(bench["end_to_end"]) == set(workloads)
+    for workload in workloads:
+        metrics = bench["end_to_end"][workload]
+        assert set(metrics) == {m["name"] for m in spec["end_to_end"]}
+        for entry in metrics.values():
+            assert entry["pairs"] == 1 and 0 <= entry["change_wins"] <= 1
+            assert len(entry["ratios"]) == 1
+            for side in SIDES:
+                assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"]
+                assert len(entry[side]["values"]) == 1
+        assert set(bench["per_layer"]["metrics"][workload]) == {
+            m["name"] for m in spec["per_layer"]
+        }
+        for side in SIDES:
+            setup = bench["setup_s_spread"][side][workload]
+            assert setup["min"] <= setup["median"] <= setup["max"]
+            assert len(bench["fingerprints"][side][workload]) == 1
+        assert bench["fingerprints"]["equal"][workload]
+    for side in SIDES:
+        assert bench["operations"][side]["failed"] == 0
+        assert bench["operations"][side]["attempted"] > 0
+        assert set(bench["digests"][side]) == {
+            "checkpoint.pcfc", "val_probs.csv", "train_log.jsonl"
+        }
+    assert bench["digests"]["equal"]

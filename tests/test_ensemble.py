@@ -469,6 +469,12 @@ class TestTune:
         with pytest.raises(ValueError, match="labels"):
             tune([mat(P1)], np.array([0, 1, 2]), variant="unified", budget=10)
 
+    @pytest.mark.parametrize("labels", [[1.0, 0.0], [True, False]])
+    def test_label_dtype_validation(self, labels):
+        labels = np.array(labels)
+        with pytest.raises(ValueError, match=f"labels .*dtype {labels.dtype}"):
+            tune([mat(P1)], labels, variant="weighted", budget=10)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             tune([mat(P1)], np.array([0, 2]), variant="stacked", budget=10)
@@ -583,6 +589,40 @@ class TestTuneBlendContract:
         for i in range(k):
             spec = EnsembleSpec("unified", weights[i], powers[i])
             assert np.array_equal(scores[i], blend(mats, spec)), i
+
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_tied_block_rows_are_blends(self, m):
+        # Every power column constant: a shared power row, as in a grid
+        # block, and the same row repeated down the block. Such a block is
+        # one contraction, and each row must still equal blend() exactly.
+        rng = np.random.default_rng(30 + m)
+        n, k = 40, 37
+        mats = [mat(rng.dirichlet(np.ones(5), size=n), f"m{j}") for j in range(m)]
+        grid_weights = rng.choice(np.array(WEIGHT_GRID), size=(k, m))
+        weights = np.where(rng.random((k, m)) < 0.5, grid_weights, rng.uniform(0.01, 10.0, (k, m)))
+        members = _class_major(mats)
+        for power_row in (
+            rng.choice(np.array(POWER_GRID), size=(1, m)),
+            rng.uniform(0.01, 8.0, (1, m)),
+            np.ones((1, m)),
+        ):
+            for powers in (power_row, np.repeat(power_row, k, axis=0)):
+                scores = _blend_scores(*members, weights, powers)
+                for i in range(k):
+                    spec = EnsembleSpec("unified", weights[i], power_row[0])
+                    assert np.array_equal(scores[i], blend(mats, spec)), (m, i)
+
+    def test_ten_member_tune_blends_to_its_f1(self):
+        rng = np.random.default_rng(31)
+        labels = rng.integers(0, 5, size=30)
+        mats = [
+            counts_mat(rng.integers(0, 4, size=(30, 5)) + np.eye(5)[labels], f"m{j}")
+            for j in range(10)
+        ]
+        for variant in VARIANTS:
+            result = tune(mats, labels, variant, budget=1500, seed=0)
+            assert result.f1 == blend_f1(mats, labels, result.spec), variant
 
 
 class TestPowerRule:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factfusion.metrics import (
     confusion_matrix,
@@ -147,6 +149,55 @@ class TestWeightedF1Batch:
             weighted_f1_batch(np.array([0, 1]), np.array([[0, 1], [1, 3]]), 3)
         with pytest.raises(ValueError, match="predicted"):
             weighted_f1_batch(np.array([0, 1]), np.array([[0, -1]]), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_weighted_f1_row_by_row_exactly(self, data):
+        # Label sets that miss classes or hold one class, and predictions
+        # that never name some classes, so zero supports and zero
+        # denominators both occur.
+        k = data.draw(st.sampled_from([1, 7, 256]), label="rows")
+        n = data.draw(st.integers(1, 40), label="samples")
+        classes = st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True)
+        true_classes = data.draw(classes, label="true classes")
+        pred_classes = data.draw(classes, label="predicted classes")
+        dtype = data.draw(st.sampled_from([np.uint8, np.int64]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        y_true = rng.choice(true_classes, size=n)
+        preds = rng.choice(pred_classes, size=(k, n)).astype(dtype)
+        preds[0] = y_true  # a perfect row
+        batch = weighted_f1_batch(y_true, preds, 5)
+        assert batch.shape == (k,)
+        for row, got in zip(preds, batch):
+            assert got == weighted_f1(y_true, row, 5)[0]
+
+
+class TestLabelDtypes:
+    """Float and boolean label arrays are refused by name, never cast."""
+
+    @pytest.mark.parametrize("bad", [np.array([1.0, 0.0]), np.array([True, False])])
+    def test_true_labels(self, bad):
+        for score in (confusion_matrix, weighted_f1):
+            with pytest.raises(ValueError, match=f"y_true .*dtype {bad.dtype}"):
+                score(bad, np.array([1, 0]), 3)
+        with pytest.raises(ValueError, match=f"y_true .*dtype {bad.dtype}"):
+            weighted_f1_batch(bad, np.array([[1, 0]]), 3)
+
+    @pytest.mark.parametrize("bad", [np.array([1.0, 0.0]), np.array([True, False])])
+    def test_predictions(self, bad):
+        for score in (confusion_matrix, weighted_f1):
+            with pytest.raises(ValueError, match=f"y_pred .*dtype {bad.dtype}"):
+                score(np.array([1, 0]), bad, 3)
+        with pytest.raises(ValueError, match=f"preds .*dtype {bad.dtype}"):
+            weighted_f1_batch(np.array([1, 0]), bad[None, :], 3)
+
+    def test_every_integer_dtype_scores_alike(self):
+        y_true, y_pred = np.array([0, 1, 2, 2]), np.array([0, 2, 2, 1])
+        want = weighted_f1(y_true, y_pred, 3)[0]
+        for dtype in (np.uint8, np.int16, np.uint32, np.int64):
+            assert weighted_f1(y_true.astype(dtype), y_pred.astype(dtype), 3)[0] == want
+            got = weighted_f1_batch(y_true.astype(dtype), y_pred[None, :].astype(dtype), 3)
+            assert got[0] == want
 
 
 class TestReports:
