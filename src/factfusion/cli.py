@@ -65,14 +65,16 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract_features(args) -> int:
     manifest = load_manifest(args.manifest)
+    mat = extract_corpus(manifest.records)
     scaler = None
     if args.scaler_in:
         scaler = FeatureScaler.load(args.scaler_in)
     elif args.scaler_out:
         # Apply the stored copy, so --scaler-in runs reproduce this output.
-        scaler = FeatureScaler.fit(extract_corpus(manifest.records)).as_stored()
+        scaler = FeatureScaler.fit(mat).as_stored()
         scaler.save(args.scaler_out)
-    mat = extract_corpus(manifest.records, scaler)
+    if scaler is not None:
+        mat = scaler.transform(mat)
     header = "sample_id," + ",".join(
         f"{field}.{stat}" for field in FIELD_ORDER for stat in STAT_NAMES
     )

@@ -243,12 +243,6 @@ def _class_major(mats: Sequence[ProbMatrix]) -> tuple:
     return probs, np.log(probs)
 
 
-def _powered(probs, logs, j: int, power: float) -> np.ndarray:
-    """Member j's [5·samples] vector raised to one power: P itself at 1,
-    else one exp over the member's vector."""
-    return probs[j] if power == 1.0 else np.exp(power * logs[j])
-
-
 def _blend_scores(probs, logs, weights, powers) -> np.ndarray:
     """Blend scores [k x samples x 5] for [k x m] weights and [k x m] powers or
     one shared [1 x m] power row; row i is exactly blend() of its spec.
@@ -270,35 +264,32 @@ def _blend_scores(probs, logs, weights, powers) -> np.ndarray:
 
     Otherwise each member's term is formed in turn. Member 0's is written
     straight into the scores: all terms are positive, so starting from it
-    equals starting from zero, as the contraction does. A constant column
-    takes one exp over the member's vector; any other column takes one
-    multiply and one exp into the block, then its rows at N = 1 are copied
-    from P. Every exp runs on C-contiguous float64, so numpy takes the same
-    loop for a row of blend() as for a row of a block.
+    equals starting from zero, as the contraction does. Each column takes
+    one multiply and one exp into the block, then its rows at N = 1 are
+    copied from P. Every exp runs on C-contiguous float64, so numpy takes
+    the same loop for a row of blend() as for a row of a block.
     """
     # One buffer per call, with its first k rows the scores even where the
     # contraction needs no term rows: more block-sized arrays make glibc's
     # malloc return the heap to the OS after every block, and those page
-    # faults cost more than the blend. einsum forms the outer products
-    # weights x powered probs and powers x logs about twice as fast as a
-    # broadcast multiply, with the same products.
+    # faults cost more than the blend. einsum forms the outer product
+    # powers x logs about twice as fast as a broadcast multiply, with the
+    # same products.
     k, (m, width) = weights.shape[0], probs.shape
     buffer = np.empty((2 * k, width))
     scores, term = buffer[:k], buffer[k:]
     if (powers == powers[0]).all():
-        powered = np.stack([_powered(probs, logs, j, n) for j, n in enumerate(powers[0])])
+        powered = np.stack([probs[j] if n == 1.0 else np.exp(n * logs[j])
+                            for j, n in enumerate(powers[0])])
         np.einsum("ij,jk->ik", weights, powered, out=scores)
         return scores.reshape(k, N_CLASSES, -1).transpose(0, 2, 1)
     for j in range(m):
         out = term if j else scores
         column = powers[:, j]
-        if (column == column[0]).all():
-            np.einsum("i,j->ij", weights[:, j], _powered(probs, logs, j, column[0]), out=out)
-        else:
-            np.einsum("i,j->ij", column, logs[j], out=out)
-            np.exp(out, out=out)
-            out[column == 1.0] = probs[j]
-            out *= weights[:, j, None]
+        np.einsum("i,j->ij", column, logs[j], out=out)
+        np.exp(out, out=out)
+        out[column == 1.0] = probs[j]
+        out *= weights[:, j, None]
         if j:
             scores += term
     return scores.reshape(k, N_CLASSES, -1).transpose(0, 2, 1)

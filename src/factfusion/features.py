@@ -19,7 +19,7 @@ import hashlib
 import string
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -174,10 +174,7 @@ class FeatureScaler:
         return dict(zip(SCALER_ENTRIES, (self.mean, self.std)))
 
 
-def extract_corpus(
-    samples: Sequence, scaler: Optional[FeatureScaler] = None
-) -> np.ndarray:
-    """Raw (or, given a scaler, scaled) feature matrix [len(samples) x 32]."""
+def extract_corpus(samples: Sequence) -> np.ndarray:
+    """Raw feature matrix [len(samples) x 32]; a FeatureScaler transforms it."""
     rows = [raw_feature_vector(s) for s in samples]
-    mat = np.asarray(rows, dtype=np.float64).reshape(len(rows), FEATURE_DIM)
-    return scaler.transform(mat) if scaler is not None else mat
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), FEATURE_DIM)

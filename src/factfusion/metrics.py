@@ -32,17 +32,23 @@ def _check_scorable(y_true: np.ndarray, y_pred: np.ndarray, pred_name: str, n_cl
             raise ValueError(f"{name} labels fall outside [0, {n_classes})")
 
 
+def _count_cells(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
+    """[k x C²] confusion cells of a checked [k x n] block, counted in one pass
+    over row·C² + true·C + pred, formed in intp so that no label dtype wraps."""
+    k, cells = y_pred.shape[0], n_classes * n_classes
+    flat = y_pred.astype(np.intp)
+    flat += y_true.astype(np.intp) * n_classes
+    flat += np.arange(0, k * cells, cells, dtype=np.intp)[:, None]
+    return np.bincount(flat.ravel(), minlength=k * cells).reshape(k, cells)
+
+
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     """[C x C] counts for [n] predictions, or [k x C x C] for a [k x n] block."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     _check_scorable(y_true, y_pred, "y_pred", n_classes)
-    lead = y_pred.shape[:-1]
-    cells = n_classes * n_classes
-    offsets = np.arange(int(np.prod(lead)))[:, None] * cells
-    flat = offsets + y_true * n_classes + y_pred.reshape(-1, y_true.shape[0])
-    counts = np.bincount(flat.ravel(), minlength=offsets.shape[0] * cells)
-    return counts.reshape(*lead, n_classes, n_classes)
+    counts = _count_cells(y_true, y_pred.reshape(-1, y_true.shape[0]), n_classes)
+    return counts.reshape(*y_pred.shape[:-1], n_classes, n_classes)
 
 
 def _f1(tp, pred, true) -> np.ndarray:
@@ -78,11 +84,11 @@ def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
     scoring thousands of candidates one call at a time would dominate the
     budget.
 
-    One bincount over row·C² + true·C + pred counts every row's confusion
-    cells; the true positives are their diagonal, the predicted counts their
-    sums over true classes, and the supports one bincount of y_true shared
-    by all rows. The F1s and their support-weighted sum then take the same
-    operations, in the same order, as per_class_f1 and weighted_f1_of.
+    confusion_matrix's counter gives every row's confusion cells; the true
+    positives are their diagonal, the predicted counts their sums over true
+    classes, and the supports, shared by all rows, the first row's sums over
+    predicted classes. The F1s and their support-weighted sum then take the
+    same operations, in the same order, as per_class_f1 and weighted_f1_of.
     """
     y_true = np.asarray(y_true)
     preds = np.asarray(preds)
@@ -91,15 +97,10 @@ def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
             f"prediction block {preds.shape} incompatible with labels of shape {y_true.shape}"
         )
     _check_scorable(y_true, preds, "preds", n_classes)
-    k, cells = preds.shape[0], n_classes * n_classes
-    truth = y_true.astype(np.intp)
-    flat = preds.astype(np.intp)
-    flat += truth * n_classes
-    flat += np.arange(0, k * cells, cells, dtype=np.intp)[:, None]
-    conf = np.bincount(flat.ravel(), minlength=k * cells).reshape(k, cells)
-    support = np.bincount(truth, minlength=n_classes)
-    pred = conf.reshape(k, n_classes, n_classes).sum(axis=1)
-    f1 = _f1(conf[:, :: n_classes + 1], pred, support)
+    conf = _count_cells(y_true, preds, n_classes)
+    cube = conf.reshape(-1, n_classes, n_classes)
+    support = cube[0].sum(axis=1)
+    f1 = _f1(conf[:, :: n_classes + 1], cube.sum(axis=1), support)
     return (f1 * support).sum(axis=-1) / y_true.shape[0]
 
 

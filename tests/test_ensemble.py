@@ -576,19 +576,26 @@ class TestTuneBlendContract:
     def test_block_rows_are_blends(self, k):
         # Each member's power column mixes the grid, 1, 8 and free values;
         # past one row it holds 1 and other values, so it is not constant
-        # and its rows at 1 are copied into the block.
+        # and its rows at 1 are copied into the block. Then member 1's
+        # column is made constant, at N = 1 and at N != 1, beside the
+        # varying columns: it takes the same per-column rule.
         rng = np.random.default_rng(11)
         n, m = 100, 3
         mats = [mat(rng.dirichlet(np.ones(5), size=n), f"m{j}") for j in range(m)]
         named = rng.choice(np.array(POWER_GRID + (1.0, 8.0)), size=(k, m))
-        powers = np.where(rng.random((k, m)) < 0.5, named, rng.uniform(0.01, 8.0, (k, m)))
+        varying = np.where(rng.random((k, m)) < 0.5, named, rng.uniform(0.01, 8.0, (k, m)))
         if k > 1:
-            powers[0] = 1.0
+            varying[0] = 1.0
         weights = rng.uniform(0.01, 10.0, (k, m))
-        scores = _blend_scores(*_class_major(mats), weights, powers)
-        for i in range(k):
-            spec = EnsembleSpec("unified", weights[i], powers[i])
-            assert np.array_equal(scores[i], blend(mats, spec)), i
+        for constant in (None, 1.0, 2.5):
+            powers = varying.copy()
+            if constant is not None:
+                powers[:, 1] = constant
+            assert k == 1 or not (powers == powers[0]).all()
+            scores = _blend_scores(*_class_major(mats), weights, powers)
+            for i in range(k):
+                spec = EnsembleSpec("unified", weights[i], powers[i])
+                assert np.array_equal(scores[i], blend(mats, spec)), (constant, i)
 
 
     @pytest.mark.parametrize("m", range(1, 11))

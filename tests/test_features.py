@@ -310,13 +310,6 @@ class TestScaler:
         with pytest.raises(ValueError, match="empty"):
             FeatureScaler.fit([])
 
-    def test_extract_applies_scaler(self):
-        s = sample(claim_text="one two three")
-        scaler = FeatureScaler.fit([raw_feature_vector(s), np.zeros(FEATURE_DIM)])
-        np.testing.assert_allclose(
-            extract_corpus([s], scaler)[0], scaler.transform(raw_feature_vector(s))
-        )
-
 
 _token = st.text(
     alphabet=st.characters(

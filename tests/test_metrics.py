@@ -192,12 +192,22 @@ class TestLabelDtypes:
             weighted_f1_batch(np.array([1, 0]), bad[None, :], 3)
 
     def test_every_integer_dtype_scores_alike(self):
-        y_true, y_pred = np.array([0, 1, 2, 2]), np.array([0, 2, 2, 1])
-        want = weighted_f1(y_true, y_pred, 3)[0]
-        for dtype in (np.uint8, np.int16, np.uint32, np.int64):
-            assert weighted_f1(y_true.astype(dtype), y_pred.astype(dtype), 3)[0] == want
-            got = weighted_f1_batch(y_true.astype(dtype), y_pred[None, :].astype(dtype), 3)
-            assert got[0] == want
+        # At 20 classes true·C no longer fits in uint8, and uint64 labels
+        # mixed with Python ints promote to float; perfect predictions must
+        # still score 1.0 whatever the dtype.
+        for y_true, y_pred, n_classes in (
+            ([0, 1, 2, 2], [0, 2, 2, 1], 3), ([19, 3], [19, 3], 20),
+        ):
+            y_true, y_pred = np.array(y_true), np.array(y_pred)
+            want_conf = confusion_matrix(y_true, y_pred, n_classes)
+            want = weighted_f1(y_true, y_pred, n_classes)[0]
+            if n_classes == 20:
+                assert want == 1.0
+            for dtype in (np.uint8, np.int16, np.uint32, np.uint64, np.int64):
+                t, p = y_true.astype(dtype), y_pred.astype(dtype)
+                assert np.array_equal(confusion_matrix(t, p, n_classes), want_conf), dtype
+                assert weighted_f1(t, p, n_classes)[0] == want, dtype
+                assert weighted_f1_batch(t, p[None, :], n_classes)[0] == want, dtype
 
 
 class TestReports:

@@ -310,7 +310,7 @@ class TestEvaluate:
         model, scaler, _ = VerificationModel.from_checkpoint(result.checkpoint)
         data = list(ingest(val_man, cfg.max_seq_len))
         batch = [{s: Tensor.constant(a) for s, a in arrays.items()} for arrays in data]
-        feats = extract_corpus(val_man.records, scaler)
+        feats = scaler.transform(extract_corpus(val_man.records))
         probs, _ = forward(model, batch, feats.astype(np.float32), training=False)
         np.testing.assert_allclose(ev.prob_matrix.probs, probs.data, rtol=0, atol=1e-6)
 
