@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark two commits in alternating pairs and write BENCH_<change>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 5 --seconds 30
+    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 10 --seconds 30   # ~40 minutes
 
 Each side is exported from git (git archive) into its own temporary
 directory, removed on exit, failures included; the repository's working
@@ -18,6 +18,9 @@ median and quartiles, every pair's change/parent ratio and the number of
 pairs in which the change is better; the traced per-layer values; both
 sides' fingerprints and digests; the machine; and each side's `setup_s`
 spread. Nothing under factbench/ is changed.
+
+Ten pairs is the default because it is the fewest that can resolve a gain:
+a claim needs the change to win nine tenths of the pairs.
 """
 
 import argparse
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="commit to compare against")
     parser.add_argument("change", help="commit under test; names the output file")
-    parser.add_argument("--seeds", type=int, default=5, help="untraced pairs, seeds 1..N")
+    parser.add_argument("--seeds", type=int, default=10, help="untraced pairs, seeds 1..N")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full",
                         help="factbench input sizes; tiny is for a smoke run")

@@ -191,11 +191,17 @@ class VerificationModel:
         The metadata is what save was given, without the config. backbone_dim
         is the row count of embed.CT.W, which every variant has. A version-1
         checkpoint carries no metadata: its config comes from the .meta.json
-        file beside it.
+        file beside it, which must hold a JSON object.
         """
         entries, meta = read_checkpoint(path)
         if meta is None:
-            meta = json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
+            sidecar = Path(f"{path}.meta.json")
+            try:
+                meta = json.loads(sidecar.read_text(encoding="utf-8"))
+            except ValueError as err:
+                raise FormatError(f"{sidecar}: not a JSON object ({err})") from None
+            if not isinstance(meta, dict):
+                raise FormatError(f"{sidecar}: a JSON {type(meta).__name__}, not an object")
             meta.pop("backbone_dim", None)
         stored = meta.pop("config", None)
         if isinstance(stored, dict):

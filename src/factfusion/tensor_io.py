@@ -9,8 +9,9 @@ of UTF-8 JSON holding one object, a uint32 entry count, then per entry a
 uint16 name length, the UTF-8 name, and a PCFT block. Version 1 files lack
 the metadata length and JSON; they are still read, with metadata None.
 
-Readers reject short reads, payloads or metadata longer than the bytes left
-in the file, bytes after the last block, repeated entry names and metadata
+Each reader reads its file once and parses the bytes in memory. Readers
+reject short reads, payloads or metadata longer than the bytes left in the
+file, bytes after the last block, repeated entry names and metadata
 that is not a UTF-8 JSON object with FormatError. Checkpoints, and the
 package's text artifacts (write_lines), are written to a temp file that
 then replaces the target.
@@ -19,7 +20,6 @@ then replaces the target.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
@@ -51,56 +51,48 @@ def _coerce(array) -> np.ndarray:
     return arr
 
 
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated {what}: expected {n} bytes, got {len(data)}")
-    return data
+class _Reader:
+    """A cursor over a file's bytes, read once. Every size is checked against
+    the bytes left before it is sliced, so a corrupt size cannot make the
+    reader allocate."""
+
+    def __init__(self, path: PathLike):
+        with open(path, "rb") as f:
+            self.view = memoryview(f.read())
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        left = len(self.view) - self.pos
+        if n > left:
+            raise FormatError(f"truncated {what}: needs {n} bytes, {left} left")
+        self.pos += n
+        return self.view[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def end(self) -> None:
+        if self.pos != len(self.view):
+            raise FormatError("trailing bytes after the last block")
 
 
-def _unpack(f: BinaryIO, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
-
-
-def _bytes_left(f: BinaryIO) -> int:
-    pos = f.tell()
-    end = f.seek(0, io.SEEK_END)
-    f.seek(pos)
-    return end - pos
-
-
-def _read_sized(f: BinaryIO, size: int, what: str) -> bytes:
-    # Checked before reading, so a corrupt size cannot make the reader
-    # allocate it.
-    left = _bytes_left(f)
-    if size > left:
-        raise FormatError(f"truncated {what}: needs {size} bytes, {left} left")
-    return _read_exact(f, size, what)
-
-
-def _check_end(f: BinaryIO) -> None:
-    if f.read(1):
-        raise FormatError("trailing bytes after the last block")
-
-
-def write_tensor_stream(f: BinaryIO, array) -> None:
+def _encode(array) -> tuple[bytes, np.ndarray]:
+    """A PCFT block as its header bytes and its little-endian float32 payload."""
     arr = _coerce(array)
-    f.write(TENSOR_MAGIC)
-    f.write(struct.pack("<B", arr.ndim))
-    for extent in arr.shape:
-        f.write(struct.pack("<I", extent))
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    header = struct.pack(f"<4sB{arr.ndim}I", TENSOR_MAGIC, arr.ndim, *arr.shape)
+    return header, np.ascontiguousarray(arr, dtype="<f4")
 
 
-def read_tensor_stream(f: BinaryIO) -> np.ndarray:
-    magic = f.read(4)
+def _parse(r: _Reader) -> np.ndarray:
+    """The PCFT block at the reader's position."""
+    magic = bytes(r.take(4, "tensor magic"))
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad tensor magic {magic!r}")
-    (rank,) = _unpack(f, "<B", "tensor rank")
+    (rank,) = r.unpack("<B", "tensor rank")
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds maximum {MAX_RANK}")
-    shape = _unpack(f, f"<{rank}I", "tensor shape")
-    payload = _read_sized(f, 4 * math.prod(shape), f"payload of shape {shape}")
+    shape = r.unpack(f"<{rank}I", "tensor shape")
+    payload = r.take(4 * math.prod(shape), f"payload of shape {shape}")
     try:
         return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     except ValueError as err:
@@ -110,21 +102,20 @@ def read_tensor_stream(f: BinaryIO) -> np.ndarray:
 
 
 def write_tensor(path: PathLike, array) -> None:
+    blocks = _encode(array)
     with open(path, "wb") as f:
-        write_tensor_stream(f, array)
+        f.writelines(blocks)
 
 
 def read_tensor(path: PathLike) -> np.ndarray:
-    with open(path, "rb") as f:
-        arr = read_tensor_stream(f)
-        _check_end(f)
-        return arr
+    r = _Reader(path)
+    arr = _parse(r)
+    r.end()
+    return arr
 
 
 def tensor_bytes(array) -> bytes:
-    buf = io.BytesIO()
-    write_tensor_stream(buf, array)
-    return buf.getvalue()
+    return b"".join(_encode(array))
 
 
 @contextlib.contextmanager
@@ -156,23 +147,19 @@ def write_checkpoint(
 ) -> None:
     """Write a version-2 checkpoint: the JSON object meta, then the entries."""
     blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+    head = CHECKPOINT_MAGIC + struct.pack("<BI", CHECKPOINT_VERSION, len(blob))
     with atomic_writer(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(entries)))
+        f.writelines((head, blob, struct.pack("<I", len(entries))))
         for name, array in entries.items():
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            write_tensor_stream(f, array)
+            f.writelines((struct.pack("<H", len(encoded)), encoded, *_encode(array)))
 
 
-def _read_meta(f: BinaryIO) -> dict:
-    (size,) = _unpack(f, "<I", "metadata length")
-    raw = _read_sized(f, size, "metadata")
+def _parse_meta(r: _Reader) -> dict:
+    (size,) = r.unpack("<I", "metadata length")
+    raw = r.take(size, "metadata")
     try:
-        meta = json.loads(raw.decode("utf-8"))
+        meta = json.loads(str(raw, "utf-8"))
     except UnicodeDecodeError as err:
         raise FormatError(f"metadata is not UTF-8 ({err})") from None
     except ValueError as err:
@@ -186,25 +173,24 @@ def read_checkpoint(
     path: PathLike,
 ) -> tuple[dict[str, np.ndarray], Optional[dict]]:
     """The named entries and the metadata object (None for a version-1 file)."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = _unpack(f, "<B", "checkpoint version")
-        if version not in (1, CHECKPOINT_VERSION):
-            raise FormatError(f"unsupported checkpoint version {version}")
-        meta = _read_meta(f) if version == CHECKPOINT_VERSION else None
-        (count,) = _unpack(f, "<I", "entry count")
-        entries: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = _unpack(f, "<H", "entry name length")
-            raw_name = _read_exact(f, name_len, "entry name")
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise FormatError(f"entry name is not UTF-8 ({err})") from None
-            if name in entries:
-                raise FormatError(f"duplicate entry name {name!r}")
-            entries[name] = read_tensor_stream(f)
-        _check_end(f)
-        return entries, meta
+    r = _Reader(path)
+    magic = bytes(r.take(4, "checkpoint magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {magic!r}")
+    (version,) = r.unpack("<B", "checkpoint version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise FormatError(f"unsupported checkpoint version {version}")
+    meta = _parse_meta(r) if version == CHECKPOINT_VERSION else None
+    (count,) = r.unpack("<I", "entry count")
+    entries: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = r.unpack("<H", "entry name length")
+        try:
+            name = str(r.take(name_len, "entry name"), "utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"entry name is not UTF-8 ({err})") from None
+        if name in entries:
+            raise FormatError(f"duplicate entry name {name!r}")
+        entries[name] = _parse(r)
+    r.end()
+    return entries, meta

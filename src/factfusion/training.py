@@ -84,7 +84,7 @@ def _load_split(
     man: DatasetManifest, max_seq_len: int, scaler=None, fit=False, width=None
 ) -> tuple:
     """A manifest's stream dicts, its features scaled by scaler or by one fit
-    on them, and that scaler; an empty manifest gets no features.
+    on them, and that scaler.
 
     Every sample must have the backbone width given, or else its first
     sample's; a ValueError names the split and the first that differs.
@@ -99,7 +99,7 @@ def _load_split(
                 f"but the model takes {width}"
             )
     feats = None
-    if data and (fit or scaler is not None):
+    if fit or scaler is not None:
         raw = extract_corpus(man.records)
         if fit:
             # Scale with the checkpoint's copy, so evaluate reproduces val_probs.
@@ -162,6 +162,8 @@ def train(
 ) -> TrainResult:
     train_man = _resolve(train_manifest if train_manifest is not None else config.train_manifest)
     val_man = _resolve(val_manifest if val_manifest is not None else config.val_manifest)
+    if not train_man.records or not val_man.records:
+        raise ValueError("training needs non-empty train and validation manifests")
     run_path = Path(run_dir if run_dir is not None else config.out_dir)
     run_path.mkdir(parents=True, exist_ok=True)
     model_id = model_id or f"seed{config.seed}"
@@ -170,10 +172,8 @@ def train(
     train_data, train_feats, scaler = _load_split(
         train_man, config.max_seq_len, fit=not config.text_only
     )
-    backbone_dim = train_data[0]["CI"].shape[1] if train_data else None
+    backbone_dim = train_data[0]["CI"].shape[1]
     val_data, val_feats, _ = _load_split(val_man, config.max_seq_len, scaler, width=backbone_dim)
-    if not train_data or not val_data:
-        raise ValueError("training needs non-empty train and validation manifests")
     train_labels = train_man.labels()
     val_man.labels()  # an unlabeled val sample fails here, not at validation
 
@@ -251,9 +251,9 @@ def evaluate(
     model, scaler, _ = VerificationModel.from_checkpoint(ckpt)
 
     man = _resolve(manifest)
+    if not man.records:
+        raise ValueError("cannot evaluate an empty manifest")
     model_id = model_id or ckpt.stem
     check_ids(model_id, man.sample_ids(), f"{man.split} split")
     data, feats, _ = _load_split(man, model.config.max_seq_len, scaler, width=model.backbone_dim)
-    if not data:
-        raise ValueError("cannot evaluate an empty manifest")
     return _score(model, man, data, feats, model_id)

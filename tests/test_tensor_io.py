@@ -1,6 +1,5 @@
 """Binary tensor / checkpoint format tests: layout bytes, round trips, errors."""
 
-import io
 import struct
 
 import numpy as np
@@ -16,7 +15,6 @@ from factfusion.tensor_io import (
     atomic_writer,
     read_checkpoint,
     read_tensor,
-    read_tensor_stream,
     tensor_bytes,
     write_checkpoint,
     write_tensor,
@@ -123,12 +121,13 @@ class TestTensorRoundTrip:
         shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
         seed=st.integers(0, 2**16),
     )
-    def test_round_trip_random_shapes(self, shape, seed):
+    def test_round_trip_random_shapes(self, tmp_path_factory, shape, seed):
         rng = np.random.default_rng(seed)
         arr = rng.standard_normal(shape).astype(np.float32)
-        buf = io.BytesIO(tensor_bytes(arr))
-        back = read_tensor_stream(buf)
-        np.testing.assert_array_equal(back, arr)
+        path = tmp_path_factory.mktemp("rt") / "t.pcft"
+        write_tensor(path, arr)
+        assert path.read_bytes() == tensor_bytes(arr)
+        np.testing.assert_array_equal(read_tensor(path), arr)
 
     def test_rank_limit_enforced_on_write(self, tmp_path):
         with pytest.raises(FormatError, match="rank"):
@@ -215,7 +214,7 @@ class TestCheckpoint:
         assert struct.unpack("<I", blob[18:22])[0] == 1  # entry count
         assert struct.unpack("<H", blob[22:24])[0] == 2  # name length
         assert blob[24:26] == b"ab"
-        assert blob[26:30] == TENSOR_MAGIC
+        assert blob[26:] == tensor_bytes(np.zeros(1, dtype=np.float32))
 
     def test_reads_version_1_without_metadata(self, tmp_path):
         path = tmp_path / "v1.pcfc"
@@ -359,6 +358,21 @@ class TestCheckpointTruncation:
             path.write_bytes(blob[:cut])
             with pytest.raises(FormatError):
                 read_checkpoint(path)
+
+
+class TestTensorTruncation:
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.lists(st.integers(0, 3), max_size=MAX_RANK))
+    def test_every_truncation_raises_format_error(self, tmp_path_factory, shape):
+        arr = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+        path = tmp_path_factory.mktemp("cut") / "t.pcft"
+        write_tensor(path, arr)
+        blob = path.read_bytes()
+        np.testing.assert_array_equal(read_tensor(path), arr)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                read_tensor(path)
 
 
 class TestCheckpointBitFlips:

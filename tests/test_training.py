@@ -196,11 +196,14 @@ class TestTrain:
         )
         assert not np.array_equal(a.prob_matrix.probs, b.prob_matrix.probs)
 
-    def test_empty_manifest_rejected(self, dataset, tmp_path):
-        train_man, val_man = dataset
-        empty = type(train_man)(split="train", embedding_dir=".", records=[])
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_manifest_rejected(self, dataset, tmp_path, monkeypatch, split):
+        mans = dict(zip(("train", "val"), dataset))
+        mans[split] = type(mans[split])(split=split, embedding_dir=".", records=[])
+        # Refused before either split's files are read.
+        monkeypatch.setattr(training, "_load_split", None)
         with pytest.raises(ValueError, match="non-empty"):
-            train(RunConfig(**TINY), empty, val_man, run_dir=tmp_path)
+            train(RunConfig(**TINY), mans["train"], mans["val"], run_dir=tmp_path)
 
     def test_missing_manifest_config(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
@@ -314,6 +317,13 @@ class TestEvaluate:
         probs, _ = forward(model, batch, feats.astype(np.float32), training=False)
         np.testing.assert_allclose(ev.prob_matrix.probs, probs.data, rtol=0, atol=1e-6)
 
+    def test_empty_manifest_rejected(self, run, dataset, monkeypatch):
+        _, val_man = dataset
+        empty = type(val_man)(split="val", embedding_dir=".", records=[])
+        monkeypatch.setattr(training, "_load_split", None)
+        with pytest.raises(ValueError, match="cannot evaluate an empty manifest"):
+            evaluate(run[2].checkpoint, empty)
+
     def test_idempotent(self, run, dataset):
         _, _, result = run
         _, val_man = dataset
@@ -378,6 +388,17 @@ class TestVersion1Fixture:
             assert param.data.tobytes() == entries[name].tobytes(), name
         assert scaler.mean.tobytes() == entries["scaler.mean"].astype(np.float64).tobytes()
         assert scaler.std.tobytes() == entries["scaler.std"].astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "sidecar, match", [("[1, 2]", "a JSON list, not an object"), ("{not json", "not a JSON")]
+    )
+    def test_bad_sidecar_rejected(self, tmp_path, sidecar, match):
+        path = tmp_path / "v1.pcfc"
+        path.write_bytes(self.path.read_bytes())
+        Path(f"{path}.meta.json").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(tensor_io.FormatError, match=match) as info:
+            VerificationModel.from_checkpoint(path)
+        assert "v1.pcfc.meta.json" in str(info.value)
 
     def test_evaluates(self, tmp_path):
         man = synthesize(2, 4, 5, tmp_path, "val")
