@@ -14,8 +14,8 @@ It then runs one traced pair (`--trace 1`, first seed) for the per-layer
 metrics and `scripts/digest_run.py` on each side.
 
 The file holds, per workload and end-to-end metric, each side's values,
-median and quartiles, every pair's change/parent ratio and the number of
-pairs in which the change is better; the traced per-layer values; both
+median and quartiles, every pair's change/parent ratio, the number of
+pairs in which the change is better and a verdict (see verdict()); the traced per-layer values; both
 sides' fingerprints and digests; the machine; and each side's `setup_s`
 spread. Nothing under factbench/ is changed.
 
@@ -116,6 +116,30 @@ def spread(values) -> dict:
     return {**summary(values), "min": min(values), "max": max(values)}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+    """The reading of one end-to-end metric from both sides' summaries:
+
+    better         the change wins at least 9 of every 10 pairs (ties count
+                   for neither) and its median beats the parent's by more
+                   than the parent's interquartile range;
+    worse          the change's median is worse than the parent's by more
+                   than the metric's relative bound;
+    unresolved     neither, and the parent's interquartile range, relative
+                   to its median, is wider than the bound;
+    within bound   every other case.
+    """
+    sign = 1 if better == "higher" else -1
+    gain = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    if 10 * wins >= 9 * pairs and gain > iqr:
+        return "better"
+    if -gain > bound * abs(parent["median"]):
+        return "worse"
+    if iqr > bound * abs(parent["median"]):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="commit to compare against")
@@ -165,10 +189,12 @@ def main(argv=None) -> int:
                 higher = declared["better"] == "higher"
                 wins = sum((c > p) if higher else (c < p)
                            for p, c in zip(values["parent"], values["change"]))
+                sides = {side: summary(values[side]) for side in SIDES}
                 metrics[workload][name] = {
-                    "unit": declared["unit"], "better": declared["better"],
-                    **{side: summary(values[side]) for side in SIDES},
+                    "unit": declared["unit"], "better": declared["better"], **sides,
                     "ratios": ratios, "change_wins": wins, "pairs": len(seeds),
+                    "verdict": verdict(sides["parent"], sides["change"], wins, len(seeds),
+                                       declared["better"], declared["bound"]),
                 }
 
         reports = {side: {w: [report(trees[side], w, s, 0) for s in seeds] for w in workloads}
@@ -217,7 +243,7 @@ def main(argv=None) -> int:
         for name, entry in metrics[workload].items():
             print(f"{workload:<11} {name:<12} parent {entry['parent']['median']:>12.6g}  "
                   f"change {entry['change']['median']:>12.6g}  "
-                  f"wins {entry['change_wins']}/{entry['pairs']}")
+                  f"wins {entry['change_wins']}/{entry['pairs']}  {entry['verdict']}")
     print(f"wrote {path}")
     return 0
 

@@ -38,7 +38,7 @@ POWER_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 ROW_SUM_TOL = 1e-4
 PROB_FLOOR = 1e-12
 N_CLASSES = len(LABELS)
-BLOCK_ROWS = 256  # most candidates scored at once; bounds the [k x n x 5] scores
+BLOCK_ROWS = 256  # most candidates scored at once; bounds a block's per-class buffers
 
 
 def check_ids(model_id: str, sample_ids: Sequence[str], owner: Optional[str] = None) -> None:
@@ -236,80 +236,93 @@ class EnsembleSpec:
 
 def _class_major(mats: Sequence[ProbMatrix]) -> tuple:
     """The members' clamped probabilities class-major, [m x 5·samples], and
-    their natural logs: what _blend_scores takes, computed once per blend()
+    their natural logs: what _class_scores takes, computed once per blend()
     or tune()."""
     probs = np.stack([np.clip(mat.probs.T, PROB_FLOOR, 1.0) for mat in mats])
     probs = probs.reshape(len(mats), -1)
     return probs, np.log(probs)
 
 
-def _blend_scores(probs, logs, weights, powers) -> np.ndarray:
-    """Blend scores [k x samples x 5] for [k x m] weights and [k x m] powers or
-    one shared [1 x m] power row; row i is exactly blend() of its spec.
+def _class_scores(probs, logs, weights, powers):
+    """Yield the blend scores of each class in turn, [k x samples] for [k x m]
+    weights and [k x m] powers or one shared [1 x m] power row; row i of the
+    slices, stacked over classes, is exactly blend() of its spec.
 
-    probs and logs are _class_major's. The scores live class-major, [k x 5 x
-    samples] in memory, and come back as the transposed view, so each class
-    is a block of contiguous rows for _argmax_classes.
+    probs and logs are _class_major's. Every slice is written into one
+    buffer, reused for the next class, so a consumer reads a slice before it
+    asks for the next one (as _argmax_classes does) or copies it.
 
     P^1 is P itself and P^N is exp(N · ln P), from the logs taken once. When
     every power column is constant over the block, as in blend()'s single
     row, every grid block and every weighted block, the members are powered
-    once into an [m x 5·samples] stack and the scores are one contraction
-    weights x powered. np.einsum without optimize runs numpy's own
-    sum-of-products loop: each term is the single product w·q, summed from
-    zero in member order, so a row of a block equals blend()'s row bit for
-    bit. A BLAS product (@, matmul, dot, optimize=True) sums in an order of
-    its own that depends on the block's shape, and a 1-row product then
+    once into an [m x 5·samples] stack and each class slice is one
+    contraction weights x powered. np.einsum without optimize runs numpy's
+    own sum-of-products loop: each term is the single product w·q, summed
+    from zero in member order, so a row of a block equals blend()'s row bit
+    for bit. A BLAS product (@, matmul, dot, optimize=True) sums in an order
+    of its own that depends on the block's shape, and a 1-row product then
     differs from a block's.
 
-    Otherwise each member's term is formed in turn. Member 0's is written
-    straight into the scores: all terms are positive, so starting from it
-    equals starting from zero, as the contraction does. Each column takes
-    one multiply and one exp into the block, then its rows at N = 1 are
-    copied from P. Every exp runs on C-contiguous float64, so numpy takes
-    the same loop for a row of blend() as for a row of a block.
+    Otherwise each class takes every member's term into one [m x k x
+    samples] buffer: one einsum outer product N x ln P, one exp, the rows
+    at N = 1 copied from P, then one contraction with the transposed
+    weights, which sums the terms w·q from zero in member order as above.
+    Members lead the buffer so that the contraction's innermost loop runs
+    over samples or candidates, never over members: a one-sample [k x m x
+    1] buffer would reach numpy's dot-product loop, whose SIMD lanes sum in
+    an order of their own. Every exp runs on C-contiguous float64, so numpy
+    takes the same loop for a row of blend() as for a row of a block.
     """
-    # One buffer per call, with its first k rows the scores even where the
-    # contraction needs no term rows: more block-sized arrays make glibc's
-    # malloc return the heap to the OS after every block, and those page
-    # faults cost more than the blend. einsum forms the outer product
-    # powers x logs about twice as fast as a broadcast multiply, with the
-    # same products.
     k, (m, width) = weights.shape[0], probs.shape
-    buffer = np.empty((2 * k, width))
-    scores, term = buffer[:k], buffer[k:]
+    n = width // N_CLASSES
+    scores = np.empty((k, n))
+    classes = range(0, width, n)
     if (powers == powers[0]).all():
-        powered = np.stack([probs[j] if n == 1.0 else np.exp(n * logs[j])
-                            for j, n in enumerate(powers[0])])
-        np.einsum("ij,jk->ik", weights, powered, out=scores)
-        return scores.reshape(k, N_CLASSES, -1).transpose(0, 2, 1)
-    for j in range(m):
-        out = term if j else scores
-        column = powers[:, j]
-        np.einsum("i,j->ij", column, logs[j], out=out)
-        np.exp(out, out=out)
-        out[column == 1.0] = probs[j]
-        out *= weights[:, j, None]
-        if j:
-            scores += term
-    return scores.reshape(k, N_CLASSES, -1).transpose(0, 2, 1)
+        powered = np.stack([probs[j] if p == 1.0 else np.exp(p * logs[j])
+                            for j, p in enumerate(powers[0])])
+        for start in classes:
+            yield np.einsum("ij,jk->ik", weights, powered[:, start : start + n], out=scores)
+        return
+    # einsum forms the outer product N x ln P about twice as fast as a
+    # broadcast multiply, with the same products.
+    terms = np.empty((m, k, n))
+    members, rows = np.nonzero(powers.T == 1.0)
+    weights = np.ascontiguousarray(weights.T)
+    for start in classes:
+        np.einsum("ij,jl->jil", powers, logs[:, start : start + n], out=terms)
+        np.exp(terms, out=terms)
+        if rows.size:
+            terms[members, rows] = probs[members, start : start + n]
+        yield np.einsum("ji,jil->il", weights, terms, out=scores)
 
 
-def _argmax_classes(scores: np.ndarray) -> np.ndarray:
-    """scores.argmax(axis=-1) as uint8, by a compare chain over the classes.
+def _blend_scores(probs, logs, weights, powers) -> np.ndarray:
+    """Blend scores [k x samples x 5]: _class_scores' slices stacked over the
+    classes, so row i is exactly blend() of its spec."""
+    scores = np.empty((weights.shape[0], probs.shape[1] // N_CLASSES, N_CLASSES))
+    for c, class_scores in enumerate(_class_scores(probs, logs, weights, powers)):
+        scores[..., c] = class_scores
+    return scores
 
-    A strict > keeps the first maximum, as argmax does. On _blend_scores'
-    class-major block each class slice is contiguous rows, and the chain
-    beats argmax over the 5-wide axis; the update is arithmetic, as masked
-    writes cost more than the whole chain.
+
+def _argmax_classes(classes) -> np.ndarray:
+    """The argmax over classes, as uint8, of class score slices given in class
+    order, by a compare chain; np.moveaxis(scores, -1, 0) gives the slices of
+    a [... x 5] block.
+
+    Only the first slice is copied, so each later one may be the same buffer
+    overwritten, as _class_scores yields them. A strict > keeps the first
+    maximum, as argmax does. The update is arithmetic, as masked writes cost
+    more than the whole chain.
     """
-    best = scores[..., 0].copy()
+    classes = iter(classes)
+    best = next(classes).copy()
     preds = np.zeros(best.shape, dtype=np.uint8)
     greater = np.empty(best.shape, dtype=bool)
     step = np.empty(best.shape, dtype=np.uint8)
-    for c in range(1, scores.shape[-1]):
-        np.greater(scores[..., c], best, out=greater)
-        np.maximum(best, scores[..., c], out=best)
+    for c, scores in enumerate(classes, start=1):
+        np.greater(scores, best, out=greater)
+        np.maximum(best, scores, out=best)
         np.subtract(c, preds, out=step)
         step *= greater
         preds += step
@@ -324,8 +337,7 @@ def blend(mats: Sequence[ProbMatrix], spec: EnsembleSpec) -> np.ndarray:
             f"spec covers {spec.n_models} models but {len(mats)} matrices given"
         )
     weights, powers = np.array([spec.weights]), np.array([spec.powers])
-    scores = _blend_scores(*_class_major(mats), weights, powers)
-    return np.ascontiguousarray(scores[0])
+    return _blend_scores(*_class_major(mats), weights, powers)[0]
 
 
 def predict(scores: np.ndarray) -> np.ndarray:
@@ -343,8 +355,8 @@ def _improve(best: Optional[tuple], members, weights, powers, labels) -> tuple:
     """Score a block of at most BLOCK_ROWS blends of members, _class_major's
     pair; return the better of it and best as (f1, (weights, powers)), ties
     going to the smallest such key."""
-    scores = _blend_scores(*members, weights, powers)
-    f1s = weighted_f1_batch(labels, _argmax_classes(scores), N_CLASSES)
+    preds = _argmax_classes(_class_scores(*members, weights, powers))
+    f1s = weighted_f1_batch(labels, preds, N_CLASSES)
     powers = np.broadcast_to(powers, weights.shape)
     top = f1s.max()
     if best is not None and top < best[0]:

@@ -34,11 +34,13 @@ def _check_scorable(y_true: np.ndarray, y_pred: np.ndarray, pred_name: str, n_cl
 
 def _count_cells(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
     """[k x C²] confusion cells of a checked [k x n] block, counted in one pass
-    over row·C² + true·C + pred, formed in intp so that no label dtype wraps."""
+    over row·C² + true·C + pred, formed in intp so that no label dtype wraps:
+    one outer sum of the row offsets and true·C, then the predictions added,
+    cast to intp on the fly (a checked label is below C, so the cast is exact)."""
     k, cells = y_pred.shape[0], n_classes * n_classes
-    flat = y_pred.astype(np.intp)
-    flat += y_true.astype(np.intp) * n_classes
-    flat += np.arange(0, k * cells, cells, dtype=np.intp)[:, None]
+    rows = np.arange(0, k * cells, cells, dtype=np.intp)
+    flat = np.add.outer(rows, y_true.astype(np.intp) * n_classes)
+    np.add(flat, y_pred, out=flat, dtype=np.intp, casting="unsafe")
     return np.bincount(flat.ravel(), minlength=k * cells).reshape(k, cells)
 
 
@@ -86,7 +88,7 @@ def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
 
     confusion_matrix's counter gives every row's confusion cells; the true
     positives are their diagonal, the predicted counts their sums over true
-    classes, and the supports, shared by all rows, the first row's sums over
+    classes (an integer einsum, which beats the strided sum), and the supports, shared by all rows, the first row's sums over
     predicted classes. The F1s and their support-weighted sum then take the
     same operations, in the same order, as per_class_f1 and weighted_f1_of.
     """
@@ -100,7 +102,7 @@ def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
     conf = _count_cells(y_true, preds, n_classes)
     cube = conf.reshape(-1, n_classes, n_classes)
     support = cube[0].sum(axis=1)
-    f1 = _f1(conf[:, :: n_classes + 1], cube.sum(axis=1), support)
+    f1 = _f1(conf[:, :: n_classes + 1], np.einsum("ktp->kp", cube), support)
     return (f1 * support).sum(axis=-1) / y_true.shape[0]
 
 

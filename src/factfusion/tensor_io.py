@@ -9,8 +9,9 @@ of UTF-8 JSON holding one object, a uint32 entry count, then per entry a
 uint16 name length, the UTF-8 name, and a PCFT block. Version 1 files lack
 the metadata length and JSON; they are still read, with metadata None.
 
-Each reader reads its file once and parses the bytes in memory. Readers
-reject short reads, payloads or metadata longer than the bytes left in the
+Each reader reads its file once and parses the bytes in memory: it reads
+and checks the 4-byte magic first, so a file of another kind is refused
+before the rest of it is read. Readers reject short reads, payloads or metadata longer than the bytes left in the
 file, bytes after the last block, repeated entry names and metadata
 that is not a UTF-8 JSON object with FormatError. Checkpoints, and the
 package's text artifacts (write_lines), are written to a temp file that
@@ -52,14 +53,23 @@ def _coerce(array) -> np.ndarray:
 
 
 class _Reader:
-    """A cursor over a file's bytes, read once. Every size is checked against
-    the bytes left before it is sliced, so a corrupt size cannot make the
-    reader allocate."""
+    """A cursor over a file's bytes, read once. The file's magic, which names
+    its kind (what), is read and checked before the rest is read. Every size
+    is checked against the bytes left before it is sliced, so a corrupt size
+    cannot make the reader allocate."""
 
-    def __init__(self, path: PathLike):
-        with open(path, "rb") as f:
-            self.view = memoryview(f.read())
-        self.pos = 0
+    def __init__(self, path: PathLike, magic: bytes, what: str):
+        # Unbuffered, so the second read returns the rest as it comes from
+        # the file instead of joining it to a read-ahead buffer in a copy.
+        with open(path, "rb", buffering=0) as f:
+            self.view, self.pos = memoryview(f.read(len(magic))), 0
+            self.expect(magic, what)
+            self.view, self.pos = memoryview(f.read()), 0
+
+    def expect(self, magic: bytes, what: str) -> None:
+        got = bytes(self.take(len(magic), f"{what} magic"))
+        if got != magic:
+            raise FormatError(f"bad {what} magic {got!r}")
 
     def take(self, n: int, what: str) -> memoryview:
         left = len(self.view) - self.pos
@@ -84,10 +94,7 @@ def _encode(array) -> tuple[bytes, np.ndarray]:
 
 
 def _parse(r: _Reader) -> np.ndarray:
-    """The PCFT block at the reader's position."""
-    magic = bytes(r.take(4, "tensor magic"))
-    if magic != TENSOR_MAGIC:
-        raise FormatError(f"bad tensor magic {magic!r}")
+    """The PCFT block at the reader's position, after its checked magic."""
     (rank,) = r.unpack("<B", "tensor rank")
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds maximum {MAX_RANK}")
@@ -108,7 +115,7 @@ def write_tensor(path: PathLike, array) -> None:
 
 
 def read_tensor(path: PathLike) -> np.ndarray:
-    r = _Reader(path)
+    r = _Reader(path, TENSOR_MAGIC, "tensor")
     arr = _parse(r)
     r.end()
     return arr
@@ -173,10 +180,7 @@ def read_checkpoint(
     path: PathLike,
 ) -> tuple[dict[str, np.ndarray], Optional[dict]]:
     """The named entries and the metadata object (None for a version-1 file)."""
-    r = _Reader(path)
-    magic = bytes(r.take(4, "checkpoint magic"))
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}")
+    r = _Reader(path, CHECKPOINT_MAGIC, "checkpoint")
     (version,) = r.unpack("<B", "checkpoint version")
     if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version}")
@@ -191,6 +195,7 @@ def read_checkpoint(
             raise FormatError(f"entry name is not UTF-8 ({err})") from None
         if name in entries:
             raise FormatError(f"duplicate entry name {name!r}")
+        r.expect(TENSOR_MAGIC, "tensor")
         entries[name] = _parse(r)
     r.end()
     return entries, meta

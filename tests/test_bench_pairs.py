@@ -1,5 +1,7 @@
-"""Smoke run of scripts/bench_pairs.py on a two-commit fixture repository."""
+"""Smoke run of scripts/bench_pairs.py on a two-commit fixture repository,
+and its per-metric verdicts."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -10,6 +12,42 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+VERDICTS = ("better", "worse", "unresolved", "within bound")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def side(median, q1, q3):
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+@pytest.mark.parametrize(
+    "parent, change, wins, better, expected",
+    [
+        # Nine wins of ten and a gain wider than the parent's quartiles.
+        (side(100, 98, 102), side(110, 108, 112), 9, "higher", "better"),
+        (side(40.5, 40.45, 40.52), side(39.3, 39.2, 39.4), 10, "lower", "better"),
+        # Eight wins of ten are too few, however large the gain.
+        (side(100, 98, 102), side(110, 108, 112), 8, "higher", "within bound"),
+        # Nine wins, but the gain lies inside the parent's quartiles.
+        (side(100, 90, 110), side(105, 95, 115), 9, "higher", "within bound"),
+        # A median worse than the parent's by more than the bound.
+        (side(100, 98, 102), side(70, 68, 72), 0, "higher", "worse"),
+        (side(40, 39.9, 40.1), side(52, 51.9, 52.1), 0, "lower", "worse"),
+        # Neither, and the parent's quartiles span more than the bound.
+        (side(100, 80, 110), side(95, 85, 105), 3, "higher", "unresolved"),
+        (side(100, 99, 101), side(95, 94, 96), 3, "higher", "within bound"),
+    ],
+)
+def test_verdict_applies_the_pair_rule(parent, change, wins, better, expected):
+    assert load_script().verdict(parent, change, wins, 10, better, 0.25) == expected
 
 
 def git(repo, *args):
@@ -59,6 +97,7 @@ def test_bench_pairs_writes_every_section(tmp_path):
         assert set(metrics) == {m["name"] for m in spec["end_to_end"]}
         for entry in metrics.values():
             assert entry["pairs"] == 1 and 0 <= entry["change_wins"] <= 1
+            assert entry["verdict"] in VERDICTS
             assert len(entry["ratios"]) == 1
             for side in SIDES:
                 assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"]

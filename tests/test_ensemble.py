@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factfusion.ensemble import (
+    N_CLASSES,
     POWER_GRID,
     PROB_FLOOR,
     VARIANTS,
@@ -20,6 +21,7 @@ from factfusion.ensemble import (
     _blend_scores,
     _class_major,
     _grid,
+    _improve,
     blend,
     check_ids,
     predict,
@@ -620,6 +622,29 @@ class TestTuneBlendContract:
                     spec = EnsembleSpec("unified", weights[i], power_row[0])
                     assert np.array_equal(scores[i], blend(mats, spec)), (m, i)
 
+    @pytest.mark.parametrize("m", [3, 10])
+    def test_one_sample_blocks_sum_in_member_order(self, m):
+        # With one sample each class slice has one column, so nothing but
+        # the member order keeps a contraction from reducing over members
+        # in a loop of its own. Every row must be the terms w·P^N summed
+        # from zero in member order, each term a one-member blend.
+        rng = np.random.default_rng(40 + m)
+        mats = [mat(rng.dirichlet(np.ones(5), size=1), f"m{j}") for j in range(m)]
+        k = 33
+        weights = rng.uniform(0.01, 10.0, (k, m))
+        free = np.where(rng.random((k, m)) < 0.3, 1.0, rng.uniform(0.01, 8.0, (k, m)))
+        for powers in (rng.uniform(0.01, 8.0, (1, m)), free):
+            scores = _blend_scores(*_class_major(mats), weights, powers)
+            for i in range(k):
+                row_powers = powers[min(i, len(powers) - 1)]
+                want = np.zeros((1, 5))
+                for j in range(m):
+                    one = EnsembleSpec("unified", (1.0,), (row_powers[j],))
+                    want = want + weights[i, j] * blend([mats[j]], one)
+                spec = EnsembleSpec("unified", weights[i], row_powers)
+                assert np.array_equal(scores[i], want), (m, i)
+                assert np.array_equal(blend(mats, spec), want), (m, i)
+
     def test_ten_member_tune_blends_to_its_f1(self):
         rng = np.random.default_rng(31)
         labels = rng.integers(0, 5, size=30)
@@ -682,12 +707,21 @@ class TestPowerRule:
         np.testing.assert_array_equal(scores[0][:, 2], 2.5)
 
 
+def reused_buffer(scores):
+    """Yield each class slice of scores [... x 5] in one buffer, overwritten
+    for the next class, as _class_scores yields them."""
+    buffer = np.empty(scores.shape[:-1])
+    for c in range(scores.shape[-1]):
+        buffer[...] = scores[..., c]
+        yield buffer
+
+
 class TestArgmaxClasses:
     def test_matches_argmax_on_random_scores(self):
         rng = np.random.default_rng(12)
         class_major = rng.random((256, 5, 100)).transpose(0, 2, 1)
         for scores in (class_major, np.ascontiguousarray(class_major)):
-            preds = _argmax_classes(scores)
+            preds = _argmax_classes(np.moveaxis(scores, -1, 0))
             assert preds.dtype == np.uint8
             np.testing.assert_array_equal(preds, scores.argmax(axis=-1))
 
@@ -699,9 +733,50 @@ class TestArgmaxClasses:
         scores[0] = 1.0
         ties = (scores == scores.max(axis=-1, keepdims=True)).sum(axis=-1) > 1
         assert ties.mean() > 0.5
-        preds = _argmax_classes(scores)
+        preds = _argmax_classes(np.moveaxis(scores, -1, 0))
         np.testing.assert_array_equal(preds, scores.argmax(axis=-1))
         assert (preds[0] == 0).all()
+
+    def test_one_reused_buffer_gives_argmax(self):
+        rng = np.random.default_rng(12)
+        ties = rng.integers(0, 3, size=(64, 50, 5)).astype(float)  # as above
+        ties[0] = 1.0
+        for scores in (rng.random((256, 100, 5)), ties):
+            preds = _argmax_classes(reused_buffer(scores))
+            assert preds.dtype == np.uint8
+            np.testing.assert_array_equal(preds, scores.argmax(axis=-1))
+
+
+class TestBlockMemory:
+    # Peak bytes traced over one _improve block of 256 candidates x 3
+    # members x 100 samples. Writing every class's scores, and a term of the
+    # same size, to one block buffer before the argmax needed 2,048,000
+    # bytes for that buffer alone, and peaked at 2,396,664. Scored one
+    # class at a time, the block below peaks at 510,888 bytes with tied
+    # powers, 1,119,505 with power-tied rows and 1,310,856 with free powers,
+    # whose rows at N = 1 are gathered from P.
+    PEAK_BYTES = 1_400_000
+
+    @pytest.mark.parametrize("powers", ["tied", "power-tied", "free"])
+    def test_one_block_stays_within_the_recorded_peak(self, powers):
+        rng = np.random.default_rng(18)
+        n, m, k = 100, 3, 256
+        labels = rng.integers(0, 5, size=n)
+        members = _class_major([mat(rng.dirichlet(np.ones(5), size=n), f"m{j}") for j in range(m)])
+        weights = rng.uniform(0.01, 10.0, (k, m))
+        powers = {
+            "tied": rng.choice(np.array(POWER_GRID), size=(1, m)),
+            "power-tied": np.repeat(rng.uniform(0.01, 8.0, (k, 1)), m, axis=1),
+            "free": np.where(rng.random((k, m)) < 0.3, 1.0, rng.uniform(0.01, 8.0, (k, m))),
+        }[powers]
+        assert 2 * k * n * N_CLASSES * 8 > self.PEAK_BYTES
+        tracemalloc.start()
+        try:
+            _improve(None, members, weights, powers, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BYTES
 
 
 def pinned_input():

@@ -1,6 +1,7 @@
 """Binary tensor / checkpoint format tests: layout bytes, round trips, errors."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,36 @@ class TestTensorErrors:
         path.write_bytes(TENSOR_MAGIC + struct.pack("<B", 9))
         with pytest.raises(FormatError, match="rank 9"):
             read_tensor(path)
+
+
+class TestForeignFiles:
+    """A file of another kind is refused after its magic, unread beyond it."""
+
+    READERS = [(read_tensor, "tensor"), (read_checkpoint, "checkpoint")]
+
+    @pytest.mark.parametrize("reader, what", READERS)
+    def test_refused_before_the_rest_is_read(self, tmp_path, reader, what):
+        path = tmp_path / "foreign.bin"
+        blob = np.random.default_rng(16).bytes(16 * 2**20)
+        assert blob[:4] not in (TENSOR_MAGIC, CHECKPOINT_MAGIC)
+        path.write_bytes(blob)
+        del blob
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"bad {what} magic"):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("reader, what", READERS)
+    def test_file_shorter_than_its_magic(self, tmp_path, reader, what):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"PC")
+        with pytest.raises(FormatError) as err:
+            reader(path)
+        assert str(err.value) == f"truncated {what} magic: needs 4 bytes, 2 left"
 
 
 class TestCheckpoint:
