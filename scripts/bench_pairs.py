@@ -15,9 +15,9 @@ metrics and `scripts/digest_run.py` on each side.
 
 The file holds, per workload and end-to-end metric, each side's values,
 median and quartiles, every pair's change/parent ratio, the number of
-pairs in which the change is better and a verdict (see verdict()); the traced per-layer values; both
-sides' fingerprints and digests; the machine; and each side's `setup_s`
-spread. Nothing under factbench/ is changed.
+pairs in which the change is better and a verdict (see verdict()); the
+traced per-layer values; both sides' fingerprints and digests; the
+machine; and each side's `setup_s` spread. Nothing under factbench/ is changed.
 
 Ten pairs is the default because it is the fewest that can resolve a gain:
 a claim needs the change to win nine tenths of the pairs.

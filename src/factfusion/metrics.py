@@ -88,8 +88,9 @@ def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
 
     confusion_matrix's counter gives every row's confusion cells; the true
     positives are their diagonal, the predicted counts their sums over true
-    classes (an integer einsum, which beats the strided sum), and the supports, shared by all rows, the first row's sums over
-    predicted classes. The F1s and their support-weighted sum then take the
+    classes (an integer einsum, which beats the strided sum), and the
+    supports, shared by all rows, the first row's sums over predicted
+    classes. The F1s and their support-weighted sum then take the
     same operations, in the same order, as per_class_f1 and weighted_f1_of.
     """
     y_true = np.asarray(y_true)

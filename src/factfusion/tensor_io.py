@@ -11,9 +11,10 @@ the metadata length and JSON; they are still read, with metadata None.
 
 Each reader reads its file once and parses the bytes in memory: it reads
 and checks the 4-byte magic first, so a file of another kind is refused
-before the rest of it is read. Readers reject short reads, payloads or metadata longer than the bytes left in the
-file, bytes after the last block, repeated entry names and metadata
-that is not a UTF-8 JSON object with FormatError. Checkpoints, and the
+before the rest of it is read. Readers reject short reads, payloads or
+metadata longer than the bytes left in the file, bytes after the last
+block, repeated entry names and metadata that is not a UTF-8 JSON object
+with FormatError. Checkpoints, and the
 package's text artifacts (write_lines), are written to a temp file that
 then replaces the target.
 """
