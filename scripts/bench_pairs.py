@@ -123,7 +123,9 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, boun
                    for neither) and its median beats the parent's by more
                    than the parent's interquartile range;
     worse          the change's median is worse than the parent's by more
-                   than the metric's relative bound;
+                   than the metric's relative bound, and either the parent's
+                   interquartile range is within the bound or every change
+                   run is worse than every parent run;
     unresolved     neither, and the parent's interquartile range, relative
                    to its median, is wider than the bound;
     within bound   every other case.
@@ -131,13 +133,15 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, boun
     sign = 1 if better == "higher" else -1
     gain = sign * (change["median"] - parent["median"])
     iqr = parent["q3"] - parent["q1"]
+    wide = iqr > bound * abs(parent["median"])
     if 10 * wins >= 9 * pairs and gain > iqr:
         return "better"
-    if -gain > bound * abs(parent["median"]):
+    if -gain > bound * abs(parent["median"]) and (
+        not wide
+        or max(sign * v for v in change["values"]) < min(sign * v for v in parent["values"])
+    ):
         return "worse"
-    if iqr > bound * abs(parent["median"]):
-        return "unresolved"
-    return "within bound"
+    return "unresolved" if wide else "within bound"
 
 
 def main(argv=None) -> int:

@@ -47,7 +47,7 @@ _PUNCT = set(string.punctuation)
 
 def _load_stopwords() -> frozenset[str]:
     text = (
-        resources.files("factfusion")
+        resources.files(__package__)
         .joinpath("resources", "stopwords.txt")
         .read_text("utf-8")
     )

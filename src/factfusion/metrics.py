@@ -53,22 +53,23 @@ def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     return counts.reshape(*y_pred.shape[:-1], n_classes, n_classes)
 
 
-def _f1(tp, pred, true) -> np.ndarray:
-    """2*tp/(pred+true) per class from integer counts, zero where pred+true is 0."""
-    tp = tp.astype(np.float64)
-    denom = pred.astype(np.float64) + true.astype(np.float64)
-    return np.divide(2.0 * tp, denom, out=np.zeros_like(tp), where=denom > 0)
-
-
 def per_class_f1(conf: np.ndarray) -> np.ndarray:
-    """F1 per class from a confusion matrix (any leading axes); 2*tp/(pred+true), zero-safe."""
-    return _f1(np.diagonal(conf, axis1=-2, axis2=-1), conf.sum(axis=-2), conf.sum(axis=-1))
+    """F1 per class from a confusion matrix (any leading axes); 2*tp/(pred+true), zero-safe.
+    An all-zero matrix has no weighted mean, but its per-class F1s are zeros."""
+    with np.errstate(invalid="ignore"):
+        return weighted_f1_of(conf)[1]
 
 
 def weighted_f1_of(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support-weighted mean of per-class F1 per confusion matrix, and the per-class F1s."""
-    f1 = per_class_f1(conf)
-    support = conf.sum(axis=-1)
+    """Support-weighted mean of per-class F1 per confusion matrix, and the per-class F1s.
+
+    Each matrix keeps its own supports. The predicted and true counts are
+    integer einsum reductions, exact whatever the order of their adds.
+    """
+    tp = np.diagonal(conf, axis1=-2, axis2=-1).astype(np.float64)
+    support = np.einsum("...tp->...t", conf)
+    denom = np.einsum("...tp->...p", conf).astype(np.float64) + support.astype(np.float64)
+    f1 = np.divide(2.0 * tp, denom, out=np.zeros_like(tp), where=denom > 0)
     return (f1 * support).sum(axis=-1) / support.sum(axis=-1), f1
 
 
@@ -79,20 +80,8 @@ def weighted_f1(y_true, y_pred, n_classes: int) -> tuple[float, np.ndarray]:
 
 
 def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
-    """Weighted F1 for many prediction vectors at once.
-
-    preds has shape [k, n]; returns the k weighted-F1 scores, each equal to
-    weighted_f1 of its row bit for bit. Used by the ensemble tuner, where
-    scoring thousands of candidates one call at a time would dominate the
-    budget.
-
-    confusion_matrix's counter gives every row's confusion cells; the true
-    positives are their diagonal, the predicted counts their sums over true
-    classes (an integer einsum, which beats the strided sum), and the
-    supports, shared by all rows, the first row's sums over predicted
-    classes. The F1s and their support-weighted sum then take the
-    same operations, in the same order, as per_class_f1 and weighted_f1_of.
-    """
+    """Weighted F1 of each row of a [k x n] prediction block, as the ensemble
+    tuner scores thousands of candidates; row i equals weighted_f1 of preds[i]."""
     y_true = np.asarray(y_true)
     preds = np.asarray(preds)
     if preds.ndim != 2 or y_true.ndim != 1 or preds.shape[1] != y_true.shape[0]:
@@ -100,35 +89,27 @@ def weighted_f1_batch(y_true, preds, n_classes: int) -> np.ndarray:
             f"prediction block {preds.shape} incompatible with labels of shape {y_true.shape}"
         )
     _check_scorable(y_true, preds, "preds", n_classes)
-    conf = _count_cells(y_true, preds, n_classes)
-    cube = conf.reshape(-1, n_classes, n_classes)
-    support = cube[0].sum(axis=1)
-    f1 = _f1(conf[:, :: n_classes + 1], np.einsum("ktp->kp", cube), support)
-    return (f1 * support).sum(axis=-1) / y_true.shape[0]
-
-
-def report_csv(conf: np.ndarray, class_names: Sequence[str]) -> str:
-    """Per-class precision/recall/F1 rows plus a trailing weighted row."""
-    _check_names(conf, class_names)
-    tp = np.diag(conf).astype(np.float64)
-    pred = conf.sum(axis=0).astype(np.float64)
-    true = conf.sum(axis=1).astype(np.float64)
-    prec = np.divide(tp, pred, out=np.zeros_like(tp), where=pred > 0)
-    rec = np.divide(tp, true, out=np.zeros_like(tp), where=true > 0)
-    wf1, f1 = weighted_f1_of(conf)
-    lines = ["label,support,precision,recall,f1"]
-    for i, name in enumerate(class_names):
-        lines.append(
-            f"{name},{int(true[i])},{prec[i]:.6f},{rec[i]:.6f},{f1[i]:.6f}"
-        )
-    lines.append(f"weighted,{int(true.sum())},,,{wf1:.6f}")
-    return "\n".join(lines) + "\n"
+    cells = _count_cells(y_true, preds, n_classes)
+    return weighted_f1_of(cells.reshape(-1, n_classes, n_classes))[0]
 
 
 def report_text(conf: np.ndarray, class_names: Sequence[str]) -> str:
-    """Human-readable aligned table mirroring report_csv."""
+    """Aligned table of per-class support, precision, recall and F1, plus a
+    trailing weighted row."""
     _check_names(conf, class_names)
-    rows = [line.split(",") for line in report_csv(conf, class_names).splitlines()]
+    tp = np.diag(conf).astype(np.float64)
+    true = conf.sum(axis=1)
+    prec, rec = (
+        np.divide(tp, count, out=np.zeros_like(tp), where=count > 0)
+        for count in (conf.sum(axis=0), true)
+    )
+    wf1, f1 = weighted_f1_of(conf)
+    rows = [["label", "support", "precision", "recall", "f1"]]
+    rows += [
+        [name, str(int(true[i])), f"{prec[i]:.6f}", f"{rec[i]:.6f}", f"{f1[i]:.6f}"]
+        for i, name in enumerate(class_names)
+    ]
+    rows.append(["weighted", str(int(true.sum())), "", "", f"{wf1:.6f}"])
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     out = []
     for r in rows:

@@ -4,6 +4,7 @@ and its per-metric verdicts."""
 import importlib.util
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,15 @@ def side(median, q1, q3):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def runs(*values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": list(values), "median": median, "q1": q1, "q3": q3}
+
+
+# Set-up times whose parent quartiles span more than the bound.
+NOISY = (0.50, 0.52, 0.55, 0.60, 0.62, 0.64, 0.80, 0.90, 0.92, 0.95)
+
+
 @pytest.mark.parametrize(
     "parent, change, wins, better, expected",
     [
@@ -44,6 +54,12 @@ def side(median, q1, q3):
         # Neither, and the parent's quartiles span more than the bound.
         (side(100, 80, 110), side(95, 85, 105), 3, "higher", "unresolved"),
         (side(100, 99, 101), side(95, 94, 96), 3, "higher", "within bound"),
+        # A median worse by more than the bound, but the parent's quartiles
+        # span more than the bound and the runs overlap: noise, not a loss.
+        (runs(*NOISY), runs(0.45, 0.70, 0.80, 0.81, 0.82, 0.83, 0.85, 0.90, 1.0, 1.1),
+         3, "lower", "unresolved"),
+        # The same spread, but every change run is worse than every parent run.
+        (runs(*NOISY), runs(*(v + 0.5 for v in NOISY)), 0, "lower", "worse"),
     ],
 )
 def test_verdict_applies_the_pair_rule(parent, change, wins, better, expected):
@@ -65,7 +81,8 @@ def test_bench_pairs_writes_every_section(tmp_path):
     for part in ("src", "factbench"):
         shutil.copytree(ROOT / part, repo / part, ignore=ignore)
     (repo / "scripts").mkdir()
-    shutil.copy(ROOT / "scripts" / "digest_run.py", repo / "scripts")
+    for script in ("digest_run.py", "run_desk_experiment.py"):
+        shutil.copy(ROOT / "scripts" / script, repo / "scripts")
     shutil.copy(ROOT / "BENCHMARK.json", repo)
     git(tmp_path, "init", "-q", str(repo))
     git(repo, "add", "-A")

@@ -2,8 +2,13 @@
 
 import hashlib
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
 from importlib import resources as importlib_resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,6 +222,19 @@ class TestStopwordResource:
 
     def test_list_size(self):
         assert len(STOPWORDS) == 127
+
+    def test_copy_under_another_name_loads_the_list(self, tmp_path):
+        # The list is found through the importing package, not a fixed
+        # name: a copy imported as ffcopy loads it with factfusion blocked.
+        package = Path(__file__).resolve().parent.parent / "src" / "factfusion"
+        shutil.copytree(package, tmp_path / "ffcopy",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = ("import sys; sys.modules['factfusion'] = None; "
+                "import ffcopy.features as f; assert len(f.STOPWORDS) > 0")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestScaler:

@@ -1,5 +1,7 @@
 """Weighted-F1 metrics against a brute-force reference implementation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from factfusion.metrics import (
     confusion_matrix,
     per_class_f1,
-    report_csv,
     report_text,
     weighted_f1,
     weighted_f1_batch,
+    weighted_f1_of,
 )
 
 
@@ -55,6 +57,19 @@ class TestConfusionMatrix:
         np.testing.assert_array_equal(
             per_class_f1(block), [per_class_f1(conf) for conf in block]
         )
+        # A stack whose class supports differ from one matrix to the next
+        # scores each matrix with its own supports, bit for bit.
+        stack = np.stack([
+            confusion_matrix(rng.integers(0, 4, size=n), rng.integers(0, 4, size=n), 4)
+            for n in (3, 10, 25, 40)
+        ])
+        stack[1, 2] = 0  # a class absent from one matrix only
+        assert len({tuple(conf.sum(axis=1)) for conf in stack}) == len(stack)
+        wf1, f1 = weighted_f1_of(stack)
+        for i, conf in enumerate(stack):
+            want_wf1, want_f1 = weighted_f1_of(conf)
+            assert wf1[i].tobytes() == want_wf1.tobytes()
+            assert f1[i].tobytes() == want_f1.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -81,6 +96,10 @@ class TestPerClassF1:
     def test_absent_class_scores_zero(self):
         conf = np.array([[3, 0], [0, 0]])
         np.testing.assert_array_equal(per_class_f1(conf), [1.0, 0.0])
+        # Every class absent: no weighted mean exists, and none warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(per_class_f1(np.zeros_like(conf)), [0.0, 0.0])
 
     def test_never_predicted_class(self):
         conf = np.array([[2, 0], [3, 0]])  # class 1 exists but never predicted
@@ -214,15 +233,6 @@ class TestReports:
     CONF = np.array([[5, 1, 0], [2, 3, 0], [0, 0, 4]])
     NAMES = ["alpha", "beta", "gamma"]
 
-    def test_csv_layout(self):
-        csv = report_csv(self.CONF, self.NAMES)
-        lines = csv.splitlines()
-        assert lines[0] == "label,support,precision,recall,f1"
-        assert lines[1] == "alpha,6,0.714286,0.833333,0.769231"
-        assert lines[2] == "beta,5,0.750000,0.600000,0.666667"
-        assert lines[3] == "gamma,4,1.000000,1.000000,1.000000"
-        assert lines[4] == f"weighted,15,,,{466 / 585:.6f}"
-
     def test_text_alignment(self):
         text = report_text(self.CONF, self.NAMES)
         lines = text.splitlines()
@@ -233,10 +243,18 @@ class TestReports:
         # Numeric columns line up on their right edges.
         assert lines[1].index("0.769231") == lines[2].index("0.666667")
 
+    def test_text_values(self):
+        rows = [line.split() for line in report_text(self.CONF, self.NAMES).splitlines()]
+        assert rows[0] == ["label", "support", "precision", "recall", "f1"]
+        assert rows[1] == ["alpha", "6", "0.714286", "0.833333", "0.769231"]
+        assert rows[2] == ["beta", "5", "0.750000", "0.600000", "0.666667"]
+        assert rows[3] == ["gamma", "4", "1.000000", "1.000000", "1.000000"]
+        assert rows[4] == ["weighted", "15", f"{466 / 585:.6f}"]
+
     def test_name_count_validation(self):
         with pytest.raises(ValueError, match="class names"):
-            report_csv(self.CONF, ["only", "two"])
+            report_text(self.CONF, ["only", "two"])
 
     def test_square_validation(self):
         with pytest.raises(ValueError, match="square"):
-            report_csv(np.zeros((2, 3)), ["a", "b"])
+            report_text(np.zeros((2, 3)), ["a", "b"])
