@@ -404,10 +404,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (x,), backward)
 
 
+def _affine(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """xhat · gain + bias, the last two ops of a layer norm."""
+    out = xhat * gain.data
+    out += bias.data
+    return out
+
+
 def _normalized(op: str, x: np.ndarray, gain: Tensor, bias: Tensor, eps: float) -> tuple:
     """Layer norm of array x over its last axis, affine by gain and bias, as
-    (output, backward). Backward maps the output's gradient to those of x,
-    gain and bias and keeps only xhat and 1/σ, not x."""
+    (output, xhat, backward). Backward maps the output's gradient to those
+    of x, gain and bias and keeps only xhat and 1/σ, not x; the output is
+    _affine(xhat, gain, bias)."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
@@ -417,8 +425,7 @@ def _normalized(op: str, x: np.ndarray, gain: Tensor, bias: Tensor, eps: float) 
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
+    out = _affine(xhat, gain, bias)
 
     def backward(g):
         gxhat = g * gain.data
@@ -432,34 +439,13 @@ def _normalized(op: str, x: np.ndarray, gain: Tensor, bias: Tensor, eps: float) 
         gbias = g.sum(axis=lead)
         return gx, ggain, gbias
 
-    return out, backward
+    return out, xhat, backward
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    out, backward = _normalized("layer_norm", x.data, gain, bias, eps)
+    out, _, backward = _normalized("layer_norm", x.data, gain, bias, eps)
     return _make(out, (x, gain, bias), backward)
-
-
-def add_layer_norm(
-    x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6
-) -> Tensor:
-    """layer_norm(add(x, r), gain, bias) as one node, for a residual r of x's
-    shape.
-
-    The arithmetic is that of the two composed ops, bit for bit, and both x
-    and r receive the gradient that add would pass them. Backward keeps what
-    layer_norm's does, not the sum x + r, which the composed add holds.
-    """
-    if x.shape != r.shape:
-        raise ShapeError(f"add_layer_norm: residual {r.shape} does not match {x.shape}")
-    out, normalized = _normalized("add_layer_norm", x.data + r.data, gain, bias, eps)
-
-    def backward(g):
-        gx, ggain, gbias = normalized(g)
-        return gx, gx, ggain, gbias
-
-    return _make(out, (x, r, gain, bias), backward)
 
 
 def _keep_mask(
@@ -504,32 +490,33 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> T
     return _make(_drop(x.data, drawn), (x,), backward)
 
 
-def feed_forward(
-    x: Tensor,
+def _feed_forward(
+    op: str,
+    x: np.ndarray,
     W1: Tensor,
     b1: Tensor,
     W2: Tensor,
     b2: Tensor,
     p: float,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """dropout(dropout(relu(x·W1 + b1))·W2 + b2) on [rows × d] x, as one node.
+    rng: Optional[np.random.Generator],
+) -> tuple:
+    """dropout(dropout(relu(x·W1 + b1))·W2 + b2) of [rows × d] array x, as
+    (output, backward).
 
-    The arithmetic and the two dropout draws, in order, are those of the
-    composed matmul/add/relu/dropout ops; the ReLU mask goes to the
-    record_relu_signs taps as relu's does. Backward keeps only the dropped
-    hidden rows, one hidden mask (the ReLU mask, and in training the first
-    keep mask with it) and the output keep mask, not the pre-activation and
-    output intermediates that the composed ops hold.
+    backward(g, x, x_grad) maps the output's gradient to those of x (None
+    unless x_grad), W1, b1, W2 and b2. It is handed the input x again for
+    W1's gradient and keeps only the dropped hidden rows, one hidden mask
+    (the ReLU mask, and in training the first keep mask with it) and the
+    output keep mask.
     """
     if (x.ndim != 2 or b1.ndim != 1 or b2.ndim != 1
             or W1.shape != (x.shape[1], b1.shape[0])
             or W2.shape != (b1.shape[0], b2.shape[0])):
         raise ShapeError(
-            f"feed_forward: x {x.shape}, W1 {W1.shape}, b1 {b1.shape}, W2 {W2.shape} "
+            f"{op}: x {x.shape}, W1 {W1.shape}, b1 {b1.shape}, W2 {W2.shape} "
             f"and b2 {b2.shape} do not fit [n,d]·[d,m] + [m], [m,o] + [o]"
         )
-    h = x.data @ W1.data
+    h = x @ W1.data
     h += b1.data
     active = h > 0  # subgradient at exactly 0 is 0
     for tap in _relu_taps:
@@ -550,7 +537,7 @@ def feed_forward(
     if drawn_out is not None:
         _drop(out, drawn_out, out=out)
 
-    def backward(g):
+    def backward(g, x, x_grad):
         if drawn_out is not None:
             g = _drop(g, drawn_out)
         gW2 = h.T @ g if W2.requires_grad else None
@@ -558,11 +545,83 @@ def feed_forward(
         if s_h is not None:
             gh *= s_h
         gh *= mask
-        gx = gh @ W1.data.T if x.requires_grad else None
-        gW1 = x.data.T @ gh if W1.requires_grad else None
+        gx = gh @ W1.data.T if x_grad else None
+        gW1 = x.T @ gh if W1.requires_grad else None
         return gx, gW1, _unbroadcast(gh, b1.shape), gW2, _unbroadcast(g, b2.shape)
 
+    return out, backward
+
+
+def feed_forward(
+    x: Tensor,
+    W1: Tensor,
+    b1: Tensor,
+    W2: Tensor,
+    b2: Tensor,
+    p: float,
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """dropout(dropout(relu(x·W1 + b1))·W2 + b2) on [rows × d] x, as one node.
+
+    The arithmetic and the two dropout draws, in order, are those of the
+    composed matmul/add/relu/dropout ops; the ReLU mask goes to the
+    record_relu_signs taps as relu's does. Backward keeps what
+    _feed_forward's does, not the pre-activation and output intermediates
+    that the composed ops hold.
+    """
+    out, ffn = _feed_forward("feed_forward", x.data, W1, b1, W2, b2, p, rng)
+
+    def backward(g):
+        return ffn(g, x.data, x.requires_grad)
+
     return _make(out, (x, W1, b1, W2, b2), backward)
+
+
+def residual_feed_forward(
+    x: Tensor,
+    r: Tensor,
+    gain1: Tensor,
+    bias1: Tensor,
+    W1: Tensor,
+    b1: Tensor,
+    W2: Tensor,
+    b2: Tensor,
+    gain2: Tensor,
+    bias2: Tensor,
+    p: float,
+    rng: Optional[np.random.Generator] = None,
+    eps: float = 1e-6,
+) -> Tensor:
+    """layer_norm(f + z) for z = layer_norm(x + r) and f = feed_forward(z),
+    as one node: the sublayers that follow attention, for a residual r of
+    x's shape. The first norm is affine by gain1 and bias1, the second by
+    gain2 and bias2.
+
+    The arithmetic, the ReLU taps and the two dropout draws, in order, are
+    those of the composed add/layer_norm/feed_forward ops, bit for bit, and
+    x and r both receive the gradient that add would pass them. Backward
+    keeps both norms' xhat and 1/σ and what _feed_forward's keeps, but
+    neither residual sum, z nor f: it recomputes z from the first norm's
+    xhat with forward's _affine.
+    """
+    op = "residual_feed_forward"
+    if r.shape != x.shape or b2.shape != x.shape[-1:]:
+        raise ShapeError(
+            f"{op}: residual {r.shape} and output width {b2.shape} do not match {x.shape}"
+        )
+    z, xhat1, norm1 = _normalized(op, x.data + r.data, gain1, bias1, eps)
+    f, ffn = _feed_forward(op, z, W1, b1, W2, b2, p, rng)
+    f += z
+    out, _, norm2 = _normalized(op, f, gain2, bias2, eps)
+
+    def backward(g):
+        gf, ggain2, gbias2 = norm2(g)
+        gz, gW1, gb1, gW2, gb2 = ffn(gf, _affine(xhat1, gain1, bias1), True)
+        gz += gf
+        gx, ggain1, gbias1 = norm1(gz)
+        return gx, gx, ggain1, gbias1, gW1, gb1, gW2, gb2, ggain2, gbias2
+
+    return _make(out, (x, r, gain1, bias1, W1, b1, W2, b2, gain2, bias2), backward)
 
 
 # attention_core pads a run of consecutive segments into one
@@ -579,6 +638,14 @@ def feed_forward(
 # their longest query × longest key is at most 512 (16 × 32, say): in the
 # eval-wide benchmark's 16-128-row splits of seeds 101-112, 4 of 14,400
 # runs held two samples, and every other sample ran alone.
+# The same bound decides what a training graph holds: a block within it
+# keeps its softmax weights for backward, and a larger one (a segment that
+# runs alone) recomputes them there, since its size, not per-call cost,
+# is what it spends. Timed as interleaved training steps in one process
+# (same host), recomputing every block made a step on 24 samples of 4-10
+# rows at 4 heads, where no block is over budget, 9% slower; a step on 5
+# samples of 93-128 rows at 8 heads, where every block is, takes 5% longer
+# than with its weights kept.
 PACK_BUDGET = 8192
 
 
@@ -647,6 +714,12 @@ def attention_core(
     its padding, whose weights are zero or whose rows are dropped. Each
     segment's [H × q × k] pre-dropout weights are appended to `weights` if
     it is a list.
+
+    Backward keeps each run's keep draw but no gathered block: it gathers
+    and scales Q/K/V again. A run whose score block holds at most
+    PACK_BUDGET entries also keeps its softmax weights; a larger one keeps
+    none and recomputes them from the gathered blocks, through the same
+    helper as forward, so its gradients are those of the held weights.
     """
     if (queries.ndim != 2 or queries.shape[1:] != keys.shape[1:]
             or keys.shape != values.shape or keys.shape[1] % heads
@@ -676,11 +749,19 @@ def attention_core(
             x = x.reshape((rows.shape[0], heads) + x.shape[1:]).transpose(0, 2, 1, 3)[rows]
         into[span[0] : span[1]].reshape((-1, heads, e))[...] = x
 
+    def softmaxed(bq: np.ndarray, bk: np.ndarray, k_segs: Sequence[tuple]) -> np.ndarray:
+        """A run's pre-dropout weights from its gathered, scaled queries and
+        its keys, each segment's keys from `valid` on at −inf."""
+        scores = bq @ bk.swapaxes(-1, -2)
+        for i, (_, _, valid) in enumerate(k_segs):
+            scores[i * heads : (i + 1) * heads, :, valid:] = -np.inf
+        return _softmax_forward(scores, -1, out=scores)
+
     q, k, v = queries.data, keys.data, values.data
     parents = (queries, keys, values)
     tracked = _tracked(parents)
     out = np.zeros(q.shape, dtype=np.result_type(q, k, v))
-    saved = []  # per run: row spans, row masks, weights and keep draw
+    saved = []  # per run: row spans, row masks, key segments, weights and keep draw
     for first, stop in _runs(query_segs, key_segs, heads):
         q_segs, k_segs = query_segs[first:stop], key_segs[first:stop]
         q_span, k_span = (q_segs[0][0], q_segs[-1][1]), (k_segs[0][0], k_segs[-1][1])
@@ -689,15 +770,13 @@ def attention_core(
             q_rows, k_rows = _row_mask(q_segs), _row_mask(k_segs)
         bq = gather(q, q_span, q_rows) * s
         bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
-        scores = bq @ bk.swapaxes(-1, -2)
-        for i, (_, _, valid) in enumerate(k_segs):
-            scores[i * heads : (i + 1) * heads, :, valid:] = -np.inf
-        w = _softmax_forward(scores, -1, out=scores)
+        w = softmaxed(bq, bk, k_segs)
         keep = _keep_mask(w.shape, w.dtype, p, rng)
         dropped = w if keep is None else _drop(w, keep)
         scatter(out, q_span, dropped @ bv, q_rows)
         if tracked:
-            saved.append((q_span, k_span, q_rows, k_rows, w, keep))
+            held = w if w.size <= PACK_BUDGET else None
+            saved.append((q_span, k_span, q_rows, k_rows, k_segs, held, keep))
         if weights is not None:
             blocks = w.reshape((stop - first, heads) + w.shape[1:])
             weights.extend(
@@ -708,12 +787,15 @@ def attention_core(
     def backward(g):
         # C order, as out is, so that scatter's row views write through.
         gq, gk, gv = (np.zeros(x.shape, x.dtype) for x in (q, k, v))
-        for q_span, k_span, q_rows, k_rows, w, keep in saved:
+        for q_span, k_span, q_rows, k_rows, k_segs, w, keep in saved:
             # Gathered and scaled again rather than kept: a step holds every
             # direction's blocks at once, and a gather costs less than its
-            # memory. The scaled products are forward's, bit for bit.
+            # memory. The scaled products are forward's, bit for bit, and so
+            # are the weights of an over-budget block recomputed from them.
             bq, bg = gather(q, q_span, q_rows) * s, gather(g, q_span, q_rows)
             bk, bv = gather(k, k_span, k_rows), gather(v, k_span, k_rows)
+            if w is None:
+                w = softmaxed(bq, bk, k_segs)
             dropped = w if keep is None else _drop(w, keep)
             scatter(gv, k_span, dropped.swapaxes(-1, -2) @ bg, k_rows)
             gw = bg @ bv.swapaxes(-1, -2)

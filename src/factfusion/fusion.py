@@ -15,22 +15,26 @@ a generator is passed: training hands its seeded rng down, inference none.
 A whole batch fuses in one pass: each stream arrives as its samples' rows
 packed into one [sum(rows) x d] tensor plus the per-sample row counts.
 Everything position-wise (projections, feed-forward, layer norms, pooling)
-runs once on the packed rows; each direction's feed-forward sublayer is one
-autograd node (autograd.feed_forward), and so is each residual add with the
-layer norm after it (autograd.add_layer_norm). Only the attention core works
-per sample, on that sample's row ranges. That core is one autograd node per
-direction (autograd.attention_core), which takes the packed [rows x d] Q/K/V,
-scales the queries and returns packed [rows x d] rows, reading and writing
-each row's heads in place. It cuts the samples, in order, into runs whose
-padded [samples*heads x longest query x longest key] score block stays
-within autograd.PACK_BUDGET entries: a run of small samples is padded into
-one batch, and a sample too big to share a block runs alone on views of its
-own rows, unpadded. In every run, each sample's padded and invalid key
-scores are set to -inf before the softmax, and in training the run draws
-its own attention-dropout mask in its score block's shape, padding
-included. A single unpacked sample may instead be padded by the caller,
-with a_len/b_len/lengths marking its valid prefix; it is a run of one, and
-masked key positions receive exactly zero attention.
+runs once on the packed rows; each direction's sublayers after attention
+(residual add and layer norm, feed-forward, residual add and layer norm)
+are one autograd node (autograd.residual_feed_forward), which keeps neither
+residual sum nor the first norm's or the feed-forward's output. Only the
+attention core works per sample, on that sample's row ranges. That core is
+one autograd node per direction (autograd.attention_core), which takes the
+packed [rows x d] Q/K/V, scales the queries and returns packed [rows x d]
+rows, reading and writing each row's heads in place. It cuts the samples,
+in order, into runs whose padded [samples*heads x longest query x longest
+key] score block stays within autograd.PACK_BUDGET entries: a run of small
+samples is padded into one batch, and a sample too big to share a block
+runs alone on views of its own rows, unpadded; in training a score block
+above that budget has its softmax weights recomputed in backward rather
+than held. In every run,
+each sample's padded and invalid key scores are set to -inf before the
+softmax, and in training the run draws its own attention-dropout mask in
+its score block's shape, padding included. A single unpacked sample may
+instead be padded by the caller, with a_len/b_len/lengths marking its
+valid prefix; it is a run of one, and masked key positions receive exactly
+zero attention.
 """
 
 from __future__ import annotations
@@ -43,13 +47,12 @@ import numpy as np
 from .autograd import (
     ShapeError,
     Tensor,
-    add_layer_norm,
     attention_core,
     concat,
-    feed_forward,
     getitem,
     matmul,
     reshape,
+    residual_feed_forward,
 )
 from .data import STREAMS as STREAM_ORDER
 from .embedding import glorot_uniform
@@ -127,11 +130,11 @@ class CoAttentionBlock:
     def _sublayers(
         self, residual: Tensor, context: Tensor, rng: Optional[np.random.Generator]
     ) -> Tensor:
-        z = add_layer_norm(residual, context, self.norm1_gain, self.norm1_bias)
-        f = feed_forward(
-            z, self.ffn_W1, self.ffn_b1, self.ffn_W2, self.ffn_b2, self.dropout_rate, rng
+        return residual_feed_forward(
+            residual, context, self.norm1_gain, self.norm1_bias,
+            self.ffn_W1, self.ffn_b1, self.ffn_W2, self.ffn_b2,
+            self.norm2_gain, self.norm2_bias, self.dropout_rate, rng,
         )
-        return add_layer_norm(f, z, self.norm2_gain, self.norm2_bias)
 
     def co_attend(
         self,

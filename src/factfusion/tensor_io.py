@@ -11,12 +11,13 @@ the metadata length and JSON; they are still read, with metadata None.
 
 Each reader reads its file once and parses the bytes in memory: it reads
 and checks the 4-byte magic first, so a file of another kind is refused
-before the rest of it is read. Readers reject short reads, payloads or
-metadata longer than the bytes left in the file, bytes after the last
-block, repeated entry names and metadata that is not a UTF-8 JSON object
-with FormatError. Checkpoints, and the
-package's text artifacts (write_lines), are written to a temp file that
-then replaces the target.
+before the rest of it is read, and then reads the rest in place into one
+writable buffer. read_tensor returns its payload as a view of that buffer;
+read_checkpoint copies each entry out of it. Readers reject short reads,
+payloads or metadata longer than the bytes left in the file, bytes after
+the last block, repeated entry names and metadata that is not a UTF-8 JSON
+object with FormatError. Checkpoints, and the package's text artifacts
+(write_lines), are written to a temp file that then replaces the target.
 """
 
 from __future__ import annotations
@@ -60,19 +61,31 @@ class _Reader:
     cannot make the reader allocate."""
 
     def __init__(self, path: PathLike, magic: bytes, what: str):
-        # Unbuffered, so the second read returns the rest as it comes from
-        # the file instead of joining it to a read-ahead buffer in a copy.
         with open(path, "rb", buffering=0) as f:
             self.view, self.pos = memoryview(f.read(len(magic))), 0
             self.expect(magic, what)
-            self.view, self.pos = memoryview(f.read()), 0
+            # The rest, as large as the file was when opened, is read in
+            # place into a writable uint8 array, so a block's payload can be
+            # handed out as a view of it rather than copied. (A bytearray
+            # would do, but numpy holds a view of one through a memoryview,
+            # which costs a small tensor about 250 bytes more.) Unbuffered,
+            # so no read-ahead is copied in; a raw read may return short.
+            # The rest starts 3 bytes into the array, which puts a tensor
+            # file's payload (5 + 4·rank bytes into the file) on a 4-byte
+            # boundary, so float32 ops on the view run aligned.
+            size = os.fstat(f.fileno()).st_size - len(magic)
+            rest = np.empty(3 + max(size, 0), np.uint8)[3:]
+            n = 0
+            while n < len(rest) and (got := f.readinto(rest[n:])):
+                n += got
+            self.view, self.pos = rest[:n], 0
 
     def expect(self, magic: bytes, what: str) -> None:
         got = bytes(self.take(len(magic), f"{what} magic"))
         if got != magic:
             raise FormatError(f"bad {what} magic {got!r}")
 
-    def take(self, n: int, what: str) -> memoryview:
+    def take(self, n: int, what: str):
         left = len(self.view) - self.pos
         if n > left:
             raise FormatError(f"truncated {what}: needs {n} bytes, {left} left")
@@ -95,14 +108,15 @@ def _encode(array) -> tuple[bytes, np.ndarray]:
 
 
 def _parse(r: _Reader) -> np.ndarray:
-    """The PCFT block at the reader's position, after its checked magic."""
+    """The PCFT block at the reader's position, after its checked magic, as
+    a writable view of the reader's buffer."""
     (rank,) = r.unpack("<B", "tensor rank")
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds maximum {MAX_RANK}")
     shape = r.unpack(f"<{rank}I", "tensor shape")
     payload = r.take(4 * math.prod(shape), f"payload of shape {shape}")
     try:
-        return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        return payload.view("<f4").reshape(shape)
     except ValueError as err:
         # A zero extent passes the size check even when the other extents
         # multiply past what numpy can index.
@@ -197,6 +211,7 @@ def read_checkpoint(
         if name in entries:
             raise FormatError(f"duplicate entry name {name!r}")
         r.expect(TENSOR_MAGIC, "tensor")
-        entries[name] = _parse(r)
+        # A copy, so that no entry keeps the whole file's buffer alive.
+        entries[name] = _parse(r).copy()
     r.end()
     return entries, meta

@@ -1,12 +1,15 @@
 """Tensor library: forward values against numpy, gradients against finite
 differences, and the graph-contract edge cases."""
 
+from types import FunctionType
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factfusion.autograd import (
+    PACK_BUDGET,
     _keep_mask,
     _runs,
     _softmax_backward,
@@ -14,7 +17,6 @@ from factfusion.autograd import (
     ShapeError,
     Tensor,
     add,
-    add_layer_norm,
     attention_core,
     clamp,
     concat,
@@ -32,6 +34,7 @@ from factfusion.autograd import (
     record_relu_signs,
     relu,
     reshape,
+    residual_feed_forward,
     scale,
     softmax,
     sqrt,
@@ -54,15 +57,17 @@ def param(rng, *shape):
 
 
 def closure_arrays(node):
-    """Every array that node's backward closure holds, directly or inside
-    tuples and lists."""
-    found, stack = [], [c.cell_contents for c in node._backward.__closure__]
+    """Every array that node's backward closure holds, directly, inside
+    tuples and lists, or inside the closures of functions it holds."""
+    found, stack = [], [node._backward]
     while stack:
         value = stack.pop()
         if isinstance(value, np.ndarray):
             found.append(value)
         elif isinstance(value, (tuple, list)):
             stack.extend(value)
+        elif isinstance(value, FunctionType):
+            stack.extend(c.cell_contents for c in value.__closure__ or ())
     return found
 
 
@@ -320,55 +325,6 @@ class TestFiniteDifferences:
             return tensor_sum(concat([rows, rows], axis=1))
 
         check_gradients(fn, {"a": a, "b": b})
-
-
-class TestAddLayerNorm:
-    ROWS, D = 7, 6
-
-    def run(self, op, dtype):
-        """Output and the gradients of x, r, gain and bias under op."""
-        rng = np.random.default_rng(21)
-        x, r = (Tensor.param(rng.standard_normal((self.ROWS, self.D)), dtype=dtype)
-                for _ in range(2))
-        gain = Tensor.param(rng.uniform(0.5, 1.5, self.D), dtype=dtype)
-        bias = Tensor.param(rng.standard_normal(self.D), dtype=dtype)
-        readout = Tensor.constant(rng.standard_normal((self.ROWS, self.D)), dtype=dtype)
-        out = op(x, r, gain, bias)
-        tensor_sum(out * readout).backward()
-        return [out.data] + [t.grad for t in (x, r, gain, bias)]
-
-    def test_matches_add_then_layer_norm_bitwise(self):
-        got = self.run(add_layer_norm, np.float32)
-        want = self.run(lambda x, r, g, b: layer_norm(add(x, r), g, b), np.float32)
-        for name, g, w in zip(("out", "dx", "dr", "dgain", "dbias"), got, want):
-            assert g.dtype == np.float32, name
-            assert np.array_equal(g, w), name
-            assert np.array_equal(np.signbit(g), np.signbit(w)), name
-
-    def test_gradient(self, rng):
-        x, r = param(rng, 5, 8), param(rng, 5, 8)
-        gain = Tensor.param(rng.uniform(0.5, 1.5, size=8), dtype=np.float64)
-        bias = param(rng, 8)
-        w = Tensor.constant(rng.standard_normal((5, 8)), dtype=np.float64)
-
-        def fn():
-            return tensor_sum(add_layer_norm(x, r, gain, bias) * w)
-
-        check_gradients(fn, {"x": x, "r": r, "gain": gain, "bias": bias})
-
-    def test_keeps_no_sum(self):
-        rng = np.random.default_rng(22)
-        x, r = (Tensor.param(rng.standard_normal((3, 4))) for _ in range(2))
-        out = add_layer_norm(x, r, Tensor.param(np.ones(4)), Tensor.param(np.zeros(4)))
-        total = x.data + r.data
-        assert not any(np.array_equal(a, total) for a in closure_arrays(out))
-
-    def test_mismatched_shapes_raise(self):
-        x, gain, bias = (Tensor.constant(np.zeros(s)) for s in ((3, 4), (4,), (4,)))
-        with pytest.raises(ShapeError, match="add_layer_norm: residual"):
-            add_layer_norm(x, Tensor.constant(np.zeros((1, 4))), gain, bias)
-        with pytest.raises(ShapeError, match="add_layer_norm: gain/bias"):
-            add_layer_norm(x, x, Tensor.constant(np.zeros(3)), bias)
 
 
 class TestDropout:
@@ -674,6 +630,26 @@ class TestAttentionCore:
         scaled = q.data * s
         assert not any(np.array_equal(a, scaled) for a in closure_arrays(out))
 
+    @pytest.mark.parametrize("case, blocks", [
+        # The 60 × 70 run's 8400 weights exceed the budget; the runs around
+        # it keep theirs.
+        ("split", [(4, 3, 3), (6, 3, 4)]),
+        ("ragged", [(8, 5, 6)]),
+    ], ids=["split", "ragged"])
+    def test_backward_keeps_weights_only_within_the_budget(self, case, blocks):
+        q_rows, k_rows, valid = self.CASES[case]
+        q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
+        rng = np.random.default_rng(8)
+        d = self.HEADS * self.WIDTH
+        q, k, v = (Tensor.param(rng.standard_normal((sum(rows), d)), dtype=np.float32)
+                   for rows in (q_rows, k_rows, k_rows))
+        out = attention_core(
+            q, k, v, self.HEADS, 1.0, q_segs, k_segs, self.P, np.random.default_rng(9)
+        )
+        floats = [a for a in closure_arrays(out) if a.dtype == np.float32]
+        assert max(a.size for a in floats) <= PACK_BUDGET
+        assert sorted(a.shape for a in floats if a.ndim == 3) == blocks
+
     def test_mismatched_shapes_raise(self):
         cases = [
             (((4, 6), (5, 6), (4, 6)), 2),  # keys and values differ in rows
@@ -761,6 +737,108 @@ class TestFeedForward:
         ]:
             with pytest.raises(ShapeError, match="feed_forward"):
                 feed_forward(*args, 0.0)
+
+
+def residual_feed_forward_reference(x, r, gain1, bias1, W1, b1, W2, b2, gain2, bias2, p, rng):
+    """residual_feed_forward's meaning, composed from primitive ops."""
+    z = layer_norm(add(x, r), gain1, bias1)
+    return layer_norm(add(feed_forward(z, W1, b1, W2, b2, p, rng), z), gain2, bias2)
+
+
+class TestResidualFeedForward:
+    # Packed samples of 1 to 4 rows; norms and residuals at width D.
+    ROWS, D, INNER, P = (1, 3, 1, 4), 6, 10, 0.3
+    NAMES = ("out", "dx", "dr", "dgain1", "dbias1", "dW1", "db1", "dW2", "db2",
+             "dgain2", "dbias2")
+
+    def inputs(self, dtype, seed=21):
+        """x, r, both norms' gains and biases and the feed-forward weights,
+        seeded, in residual_feed_forward's argument order."""
+        rng = np.random.default_rng(seed)
+        n = sum(self.ROWS)
+
+        def p(*shape):
+            return Tensor.param(rng.standard_normal(shape), dtype=dtype)
+
+        def gain():
+            return Tensor.param(rng.uniform(0.5, 1.5, self.D), dtype=dtype)
+
+        return (p(n, self.D), p(n, self.D), gain(), p(self.D),
+                p(self.D, self.INNER), p(self.INNER), p(self.INNER, self.D), p(self.D),
+                gain(), p(self.D))
+
+    def run(self, op, dtype, training, taps=None):
+        """Output, gradients of every input and the generator after op."""
+        args = self.inputs(dtype)
+        readout = Tensor.constant(
+            np.random.default_rng(22).standard_normal(args[0].shape), dtype=dtype
+        )
+        drop_rng = np.random.default_rng(23) if training else None
+        with record_relu_signs([] if taps is None else taps):
+            out = op(*args, self.P, drop_rng)
+        tensor_sum(out * readout).backward()
+        return [out.data] + [t.grad for t in args], drop_rng
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_primitive_composition_bitwise(self, dtype, training):
+        got, _ = self.run(residual_feed_forward, dtype, training)
+        want, _ = self.run(residual_feed_forward_reference, dtype, training)
+        for name, g, w in zip(self.NAMES, got, want, strict=True):
+            assert g.dtype == dtype, name
+            assert np.array_equal(g, w), name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+
+    def test_draws_what_the_composition_draws(self):
+        _, got = self.run(residual_feed_forward, np.float32, True)
+        _, want = self.run(residual_feed_forward_reference, np.float32, True)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    def test_records_its_relu_mask(self):
+        got, want = [], []
+        self.run(residual_feed_forward, np.float32, True, taps=got)
+        self.run(residual_feed_forward_reference, np.float32, True, taps=want)
+        assert len(got) == len(want) == 1
+        np.testing.assert_array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_gradient(self, training):
+        args = self.inputs(np.float64, seed=24)
+        w = Tensor.constant(np.random.default_rng(25).standard_normal(args[0].shape))
+
+        def fn():
+            # A fresh generator per call, so every evaluation drops alike.
+            drop_rng = np.random.default_rng(26) if training else None
+            return tensor_sum(residual_feed_forward(*args, self.P, drop_rng) * w)
+
+        names = ("x", "r", "gain1", "bias1", "W1", "b1", "W2", "b2", "gain2", "bias2")
+        check_gradients(fn, dict(zip(names, args)))
+
+    def test_keeps_no_sum_or_sublayer_output(self):
+        x, r, gain1, bias1, W1, b1, W2, b2, gain2, bias2 = args = self.inputs(np.float32)
+        out = residual_feed_forward(*args, self.P, np.random.default_rng(27))
+        with no_grad():
+            z = layer_norm(add(x, r), gain1, bias1)
+            f = feed_forward(z, W1, b1, W2, b2, self.P, np.random.default_rng(27))
+        held = closure_arrays(out)
+        for name, a in (("x + r", x.data + r.data), ("z", z.data), ("f", f.data),
+                        ("f + z", f.data + z.data)):
+            assert not any(np.array_equal(h, a) for h in held), name
+
+    def test_mismatched_shapes_raise(self):
+        x, r, gain1, bias1, W1, b1, W2, b2, gain2, bias2 = self.inputs(np.float32)
+        short = Tensor.constant(np.zeros(3))
+        for args, match in [
+            ((x, Tensor.constant(np.zeros((1, self.D)))), "residual"),
+            ((x, r, gain1, bias1, W1, b1, Tensor.constant(np.zeros((self.INNER, 3))), short),
+             "output width"),
+            ((x, r, short), "gain/bias"),
+            ((x, r, gain1, bias1, W1, Tensor.constant(np.zeros(3))), "do not fit"),
+            ((x, r, gain1, bias1, W1, b1, W2, b2, gain2, short), "gain/bias"),
+        ]:
+            full = args + (gain1, bias1, W1, b1, W2, b2, gain2, bias2)[len(args) - 2 :]
+            with pytest.raises(ShapeError, match=f"residual_feed_forward: .*{match}"):
+                residual_feed_forward(*full, 0.0)
 
 
 class TestReluTaps:

@@ -167,12 +167,11 @@ class TestGraphSize:
 
     def test_head_layout_adds_no_nodes(self):
         # 2 inputs + 11 parameters + 6 Q/K/V projections + 2 attention cores
-        # + 2 x 3 add-and-norm/feed-forward/add-and-norm nodes: the head
-        # split, query scaling and head merge live inside the attention core
-        # node, both feed-forward matmuls, biases, the ReLU and both dropouts
-        # inside the feed-forward node, and each residual add inside the
-        # layer norm after it.
-        assert self.nodes(3) == 27
+        # + 2 residual feed-forward nodes: the head split, query scaling and
+        # head merge live inside the attention core node, and both residual
+        # adds, both layer norms, both feed-forward matmuls, biases, the ReLU
+        # and both dropouts inside the residual feed-forward node.
+        assert self.nodes(3) == 23
 
 
 class TestAggregate:

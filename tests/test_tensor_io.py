@@ -106,6 +106,7 @@ class TestTensorRoundTrip:
         back = read_tensor(path)
         assert back.dtype == np.float32
         assert back.shape == arr.shape
+        assert back.flags.aligned and back.flags.writeable
         np.testing.assert_array_equal(back, arr)
 
     def test_round_trip_preserves_special_values(self, tmp_path):
@@ -133,6 +134,26 @@ class TestTensorRoundTrip:
     def test_rank_limit_enforced_on_write(self, tmp_path):
         with pytest.raises(FormatError, match="rank"):
             write_tensor(tmp_path / "bad.pcft", np.zeros((1, 1, 1, 1)))
+
+    def test_read_holds_one_payload(self, tmp_path):
+        arr = np.random.default_rng(17).standard_normal((1024, 4096)).astype(np.float32)
+        path = tmp_path / "big.pcft"
+        write_tensor(path, arr)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * arr.nbytes
+        np.testing.assert_array_equal(back, arr)
+
+    def test_checkpoint_entries_do_not_share_the_file_buffer(self, tmp_path):
+        path = tmp_path / "c.pcfc"
+        write_checkpoint(path, {"a": np.ones((2, 3)), "b": np.zeros(4)}, META)
+        entries, _ = read_checkpoint(path)
+        for name, value in entries.items():
+            assert value.flags.owndata and value.flags.writeable, name
 
 
 class TestTensorErrors:
