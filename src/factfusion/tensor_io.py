@@ -85,7 +85,7 @@ class _Reader:
         if got != magic:
             raise FormatError(f"bad {what} magic {got!r}")
 
-    def take(self, n: int, what: str):
+    def take(self, n: int, what: str) -> np.ndarray:
         left = len(self.view) - self.pos
         if n > left:
             raise FormatError(f"truncated {what}: needs {n} bytes, {left} left")

@@ -498,6 +498,9 @@ class TestAttentionCore:
         # Segments too big to share a block at two heads: three runs of one,
         # as almost every run of an eval-shaped call is.
         "alone": ((48, 50, 45), (50, 44, 47), (50, 40, 47)),
+        # One sample over PACK_BUDGET whose last four key rows are padding,
+        # so backward recomputes weights that mask keys.
+        "long_padded": ((60,), (70,), (66,)),
     }
     HEADS, WIDTH, P = 2, 3, 0.3
 
@@ -526,6 +529,7 @@ class TestAttentionCore:
         assert runs("ragged") == [(0, 4)]
         assert runs("padded_single") == [(0, 1)]
         assert runs("split") == [(0, 2), (2, 3), (3, 6)]
+        assert runs("long_padded") == [(0, 1)]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
@@ -635,7 +639,8 @@ class TestAttentionCore:
         # it keep theirs.
         ("split", [(4, 3, 3), (6, 3, 4)]),
         ("ragged", [(8, 5, 6)]),
-    ], ids=["split", "ragged"])
+        ("long_padded", []),
+    ], ids=["split", "ragged", "long_padded"])
     def test_backward_keeps_weights_only_within_the_budget(self, case, blocks):
         q_rows, k_rows, valid = self.CASES[case]
         q_segs, k_segs = packed_segments(q_rows), packed_segments(k_rows, valid)
